@@ -109,6 +109,28 @@ def _restricted_sample(g: WeightedGraph, m: int, child_seed: int):
     return draw.graph.induced_subgraph(comp), coverage
 
 
+def _medians(rows, sched, values) -> tuple[dict, ...]:
+    """Per-m median row: NaN-skipping medians of ``values``, coverage, flag count."""
+    medians = []
+    for m in sched:
+        group = [r for r in rows if r["m"] == m]
+        med = {"m": m, "trial": "median"}
+        for col in values:
+            vals = [r[col] for r in group if not math.isnan(r[col])]
+            med[col] = float(np.median(vals)) if vals else math.nan
+        med["coverage"] = float(np.median([r["coverage"] for r in group]))
+        med["flagged"] = int(sum(r["flagged"] for r in group))
+        medians.append(med)
+    return tuple(medians)
+
+
+def _reference(g: WeightedGraph, **values) -> dict:
+    """Reference values of the full graph plus its dominant-vertex diagnostic."""
+    ratio = dominant_vertex_ratio(g)
+    return {"n": g.n, **values, "dominant_vertex_ratio": ratio,
+            "dominant_flagged": int(ratio > DOMINANT_FLAG)}
+
+
 def _run_tasks(tasks, fn, workers: int):
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -150,24 +172,11 @@ def spectral_convergence(g: WeightedGraph, schedule, trials: int, j: int, seed: 
 
     tasks = [(m, t) for m in sched for t in range(trials)]
     rows = _run_tasks(tasks, run, workers)
-    columns = ("m", "trial", *[f"mu_{i + 1}" for i in range(j)],
-               *[f"err_{i + 1}" for i in range(j)], "coverage", "flagged")
-    medians = []
-    for m in sched:
-        group = [r for r in rows if r["m"] == m]
-        med = {"m": m, "trial": "median",
-               "coverage": float(np.median([r["coverage"] for r in group])),
-               "flagged": int(sum(r["flagged"] for r in group))}
-        for i in range(j):
-            mu_vals = [r[f"mu_{i + 1}"] for r in group if not math.isnan(r[f"mu_{i + 1}"])]
-            err_vals = [r[f"err_{i + 1}"] for r in group if not math.isnan(r[f"err_{i + 1}"])]
-            med[f"mu_{i + 1}"] = float(np.median(mu_vals)) if mu_vals else math.nan
-            med[f"err_{i + 1}"] = float(np.median(err_vals)) if err_vals else math.nan
-        medians.append(med)
-    reference = {"n": g.n, "mus": [float(v) for v in ref_mus],
-                 "dominant_vertex_ratio": dominant_vertex_ratio(g)}
-    reference["dominant_flagged"] = int(reference["dominant_vertex_ratio"] > DOMINANT_FLAG)
-    return ConvergenceTable("spectrum", columns, tuple(rows), tuple(medians), reference)
+    values = (*[f"mu_{i + 1}" for i in range(j)], *[f"err_{i + 1}" for i in range(j)])
+    columns = ("m", "trial", *values, "coverage", "flagged")
+    reference = _reference(g, mus=[float(v) for v in ref_mus])
+    return ConvergenceTable("spectrum", columns, tuple(rows), _medians(rows, sched, values),
+                            reference)
 
 
 def subspace_convergence(g: WeightedGraph, factors, k: int) -> ConvergenceTable:
@@ -206,10 +215,7 @@ def subspace_convergence(g: WeightedGraph, factors, k: int) -> ConvergenceTable:
         diff = proj - base_proj
         dist = float(np.abs(np.linalg.eigvalsh((diff + diff.T) / 2.0)).max())
         rows.append({"t": t, "distance": dist})
-    reference = {"n": g.n, "k": k,
-                 "gap": float(abs(dec.mus[k - 2]) - abs(dec.mus[k - 1])),
-                 "dominant_vertex_ratio": dominant_vertex_ratio(g)}
-    reference["dominant_flagged"] = int(reference["dominant_vertex_ratio"] > DOMINANT_FLAG)
+    reference = _reference(g, k=k, gap=float(abs(dec.mus[k - 2]) - abs(dec.mus[k - 1])))
     return ConvergenceTable("blowup", ("t", "distance"), tuple(rows), (), reference)
 
 
@@ -244,20 +250,8 @@ def k_variance_convergence(g: WeightedGraph, schedule, trials: int, k: int, seed
 
     tasks = [(m, t) for m in sched for t in range(trials)]
     rows = _run_tasks(tasks, run, workers)
-    columns = ("m", "trial", "k_variance", "error", "coverage", "flagged")
-    medians = []
-    for m in sched:
-        group = [r for r in rows if r["m"] == m]
-        kv_vals = [r["k_variance"] for r in group if not math.isnan(r["k_variance"])]
-        err_vals = [r["error"] for r in group if not math.isnan(r["error"])]
-        medians.append({
-            "m": m, "trial": "median",
-            "k_variance": float(np.median(kv_vals)) if kv_vals else math.nan,
-            "error": float(np.median(err_vals)) if err_vals else math.nan,
-            "coverage": float(np.median([r["coverage"] for r in group])),
-            "flagged": int(sum(r["flagged"] for r in group)),
-        })
-    reference = {"n": g.n, "k": k, "k_variance": float(ref_value),
-                 "dominant_vertex_ratio": dominant_vertex_ratio(g)}
-    reference["dominant_flagged"] = int(reference["dominant_vertex_ratio"] > DOMINANT_FLAG)
-    return ConvergenceTable("kvariance", columns, tuple(rows), tuple(medians), reference)
+    values = ("k_variance", "error")
+    columns = ("m", "trial", *values, "coverage", "flagged")
+    reference = _reference(g, k=k, k_variance=float(ref_value))
+    return ConvergenceTable("kvariance", columns, tuple(rows), _medians(rows, sched, values),
+                            reference)

@@ -69,11 +69,7 @@ def order_by_abs(lambdas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     lam = np.asarray(lambdas, dtype=float)
     snapped = np.where(np.abs(lam) <= ZERO_TOL, 0.0, lam)
-    order = sorted(
-        range(lam.size),
-        key=lambda i: (-abs(snapped[i]), 0 if snapped[i] > 0 else 1, i),
-    )
-    idx = np.array(order, dtype=np.intp)
+    idx = np.lexsort((np.arange(lam.size), snapped <= 0, -np.abs(snapped)))
     return lam[idx], idx
 
 

@@ -9,8 +9,10 @@ calibrated supplementary test at the end demonstrates the same spectral
 recovery property with the threshold placed inside the actual gap.
 """
 import itertools
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -370,10 +372,15 @@ def test_criterion_12_subspace_trend():
 
 def test_criterion_13_determinism(tmp_path):
     graph_path = tmp_path / "g.tsv"
+    # the child runs in tmp_path, so a relative PYTHONPATH entry would not
+    # resolve there; put the absolute source directory first
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
 
     def cli(*args):
         proc = subprocess.run([sys.executable, "-m", "modspec.cli", *args],
-                              capture_output=True, cwd=str(tmp_path))
+                              capture_output=True, cwd=str(tmp_path), env=env)
         assert proc.returncode == 0, proc.stderr.decode()
         return proc.stdout
 

@@ -42,6 +42,16 @@ def brute_cut_norm(mat):
     return best
 
 
+def centered_block(g, a, b):
+    """W_AB - rho d_A d_B^T, whose cut norm over the normalizer is alpha."""
+    d = g.degrees
+    return g.weights[np.ix_(a, b)] - g.relative_density(a, b) * np.outer(d[a], d[b])
+
+
+def alpha_normalizer(g, a, b):
+    return g.volume(a) if list(a) == list(b) else np.sqrt(g.volume(a) * g.volume(b))
+
+
 def test_mixing_discrepancy_hand_value():
     g = two_cliques_bridge(3).normalize_volume()
     x = [0, 1, 2]
@@ -154,6 +164,16 @@ def test_alpha_exact_on_two_cliques():
     assert disc / denom == pytest.approx(alpha, abs=1e-12)
     alpha_in, _ = volume_regularity_alpha(g, a, a)
     assert alpha_in >= 0.0
+    # exact alpha is the cut norm of the centered block, checked against the
+    # independent bilinear enumeration, for cross and within-cluster pairs
+    rng = np.random.default_rng(40)
+    h = random_connected(rng, 11).normalize_volume()
+    odd, even = [1, 3, 5, 7, 9], [0, 2, 4, 6, 8, 10]
+    for graph, x, y in ((g, a, b), (g, a, a), (h, even, odd), (h, odd, odd)):
+        val, _ = volume_regularity_alpha(graph, x, y)
+        oracle = cut_norm_exact_bilinear(centered_block(graph, x, y))
+        assert val == pytest.approx(oracle / alpha_normalizer(graph, x, y),
+                                    rel=1e-12, abs=1e-15)
 
 
 def test_alpha_validation():
@@ -187,6 +207,20 @@ def test_alpha_sampled_bounded_by_exact_and_monotone():
         assert val >= prev - 1e-15
         prev = val
     assert prev > 0.0
+    # the sampled witness reproduces alpha and no single-element flip of it
+    # raises the discrepancy: it is a 1-flip local optimum
+    for x, y in ((a, b), (a, a)):
+        c = centered_block(g, x, y)
+        denom = alpha_normalizer(g, x, y)
+        val, (wx, wy) = volume_regularity_alpha(g, x, y, samples=40, seed=3)
+        xv = np.isin(x, wx).astype(float)
+        yv = np.isin(y, wy).astype(float)
+        assert abs(xv @ c @ yv) / denom == pytest.approx(val, rel=1e-12)
+        for vec in (xv, yv):
+            for i in range(vec.size):
+                vec[i] = 1.0 - vec[i]
+                assert abs(xv @ c @ yv) / denom <= val + 1e-12
+                vec[i] = 1.0 - vec[i]
 
 
 def test_regularity_certificate_noiseless_blocks():

@@ -95,6 +95,11 @@ def test_order_by_abs_rules():
     # magnitudes inside the zero tolerance count as zero
     vals, _ = order_by_abs(np.array([5e-11, -0.3]))
     assert vals.tolist() == [-0.3, 5e-11]
+    # exact magnitude ties and values snapped to zero keep input order among
+    # themselves, after the positive member of each tie
+    vals, idx = order_by_abs(np.array([0.25, 0.25, 1e-11, 0.0, -1e-11, -0.25, -0.25]))
+    assert idx.tolist() == [0, 1, 5, 6, 2, 3, 4]
+    assert vals.tolist() == [0.25, 0.25, -0.25, -0.25, 1e-11, 0.0, -1e-11]
 
 
 def test_vector_sign_convention():
