@@ -7,6 +7,9 @@ Vertex subsets are passed around as validated integer index arrays; use
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import repeat
+from typing import NoReturn
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -121,22 +124,25 @@ class WeightedGraph:
             raise ZeroVolume("relative density needs both subsets to have positive volume")
         return float(self.weights[np.ix_(li, ri)].sum()) / (vl * vr)
 
-    def _component_labels(self) -> tuple[int, np.ndarray]:
+    @cached_property
+    def _components(self) -> tuple[int, np.ndarray]:
+        """Component count and per-vertex labels, computed on first use."""
         support = csr_matrix(self.weights > 0)
         count, labels = connected_components(support, directed=False)
+        labels.setflags(write=False)
         return count, labels
 
     def is_connected(self) -> bool:
         if self.n <= 1:
             return True
-        count, _ = self._component_labels()
+        count, _ = self._components
         return count == 1
 
     def largest_component(self) -> np.ndarray:
         """Indices of the largest connected component, ties broken by smallest index."""
         if self.n == 0:
             return np.empty(0, dtype=np.intp)
-        _, labels = self._component_labels()
+        _, labels = self._components
         sizes = np.bincount(labels)
         best_size = sizes.max()
         candidates = np.flatnonzero(sizes == best_size)
@@ -151,16 +157,18 @@ class WeightedGraph:
         return WeightedGraph(sub, ids)
 
 
-def load_edge_list(text: str) -> WeightedGraph:
-    """Parse tab-separated ``u<TAB>v<TAB>w`` lines into a graph.
+def _check_lines(text: str, stop: int | None = None) -> None:
+    """Check edge-list lines one at a time and raise at the first bad one.
 
-    Blank lines and lines starting with ``#`` are skipped.  Vertices are
-    indexed in sorted label order.  Raises ParseError, SelfLoop,
+    Covers the first ``stop`` data lines (all when None); blank and ``#``
+    lines are skipped and not counted.  Raises ParseError, SelfLoop,
     NegativeWeight, or DuplicateEdge with the offending line number.
     """
-    edges: dict[tuple[str, str], float] = {}
-    labels: set[str] = set()
+    seen: set[tuple[str, str]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        # every data line checked so far added one key
+        if stop is not None and len(seen) >= stop:
+            return
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -181,29 +189,102 @@ def load_edge_list(text: str) -> WeightedGraph:
         if u == v:
             raise SelfLoop(f"line {lineno}: self loop at {u!r}")
         key = (u, v) if u < v else (v, u)
-        if key in edges:
+        if key in seen:
             raise DuplicateEdge(f"line {lineno}: duplicate edge {u!r} -- {v!r}")
-        edges[key] = w
-        labels.add(u)
-        labels.add(v)
-    ids = tuple(sorted(labels))
-    index = {lab: i for i, lab in enumerate(ids)}
+        seen.add(key)
+
+
+def _raise_first_error(text: str, stop: int | None = None) -> NoReturn:
+    """Raise the error the per-line checks find within the first ``stop`` data lines."""
+    _check_lines(text, stop)
+    raise AssertionError("bulk edge-list parse flagged a line the per-line check accepts")
+
+
+def load_edge_list(text: str) -> WeightedGraph:
+    """Parse tab-separated ``u<TAB>v<TAB>w`` lines into a graph.
+
+    Blank lines and lines starting with ``#`` are skipped.  Vertices are
+    indexed in sorted label order.  Raises ParseError, SelfLoop,
+    NegativeWeight, or DuplicateEdge with the offending line number.
+
+    The lines are parsed in bulk; when any of them is flagged, the per-line
+    checks re-run from the top so the error names the earliest bad line.
+    """
+    lines = [s for s in map(str.strip, text.splitlines()) if s and s[0] != "#"]
+    m = len(lines)
+    if m == 0:
+        return WeightedGraph(np.zeros((0, 0)), ())
+    tabs = np.fromiter(map(str.count, lines, repeat("\t")), dtype=np.intp, count=m)
+    if (tabs != 2).any():
+        _raise_first_error(text, int(np.argmax(tabs != 2)) + 1)
+    # each parsed list is dropped once used, before the n x n matrix exists
+    fields = "\t".join(lines).split("\t")
+    del lines
+    us = list(map(str.strip, fields[0::3]))
+    vs = list(map(str.strip, fields[1::3]))
+    try:
+        w = np.fromiter(map(float, fields[2::3]), dtype=float, count=m)
+    except ValueError:
+        _raise_first_error(text)
+    del fields
+    labels = set(us)
+    labels.update(vs)
+    # fresh label strings: keeping the parsed ones would pin the memory of
+    # all the fields around them
+    ids = tuple("\t".join(sorted(labels)).split("\t"))
+    del labels
     n = len(ids)
+    index = dict(zip(ids, range(n)))
+    iu = np.fromiter(map(index.__getitem__, us), dtype=np.intp, count=m)
+    iv = np.fromiter(map(index.__getitem__, vs), dtype=np.intp, count=m)
+    del us, vs
+    bad = ~np.isfinite(w) | (w < 0) | (iu == iv)
+    if "" in index:
+        bad |= (iu == index[""]) | (iv == index[""])
+    del index
+    key = np.minimum(iu, iv) * n + np.maximum(iu, iv)
+    repeated = np.ones(m, dtype=bool)
+    repeated[np.unique(key, return_index=True)[1]] = False
+    bad |= repeated
+    if bad.any():
+        _raise_first_error(text, int(np.argmax(bad)) + 1)
     weights = np.zeros((n, n))
-    for (u, v), w in edges.items():
-        i, j = index[u], index[v]
-        weights[i, j] = w
-        weights[j, i] = w
+    weights[iu, iv] = w
+    weights[iv, iu] = w
     return WeightedGraph(weights, ids)
+
+
+def _check_dump_label(label: str) -> None:
+    """Reject a label that :func:`load_edge_list` would not read back unchanged."""
+    if not label:
+        problem = "is empty"
+    elif "\t" in label:
+        problem = "contains a tab"
+    elif label.splitlines() != [label]:
+        problem = "contains a line break"
+    elif label != label.strip():
+        problem = "has leading or trailing whitespace"
+    elif label.startswith("#"):
+        problem = "starts with '#'"
+    else:
+        return
+    raise ValueError(f"vertex label {label!r} {problem}, so an edge list cannot hold it")
 
 
 def dump_edge_list(g: WeightedGraph) -> str:
     """Serialize positive-weight edges as ``u<TAB>v<TAB>w`` lines, i < j order.
 
-    Weights use repr so loading the output reproduces the graph exactly.
+    Weights use repr, so loading the output gives back every edge weight
+    exactly.  Vertices without edges are not written, and the loaded graph
+    orders its vertices by sorted label.  Raises ValueError for a label
+    that would not load back unchanged: empty, holding a tab or line break,
+    with leading or trailing whitespace, or starting with ``#``.
     """
     lines = []
     upper = np.triu(g.weights, k=1)
-    for i, j in zip(*np.nonzero(upper)):
+    rows, cols = np.nonzero(upper)
+    for i in np.unique(np.concatenate([rows, cols])):
+        _check_dump_label(g.vertex_ids[i])
+    for i, j in zip(rows, cols):
         lines.append(f"{g.vertex_ids[i]}\t{g.vertex_ids[j]}\t{float(g.weights[i, j])!r}")
     return "\n".join(lines) + ("\n" if lines else "")

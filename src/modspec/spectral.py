@@ -47,17 +47,17 @@ def normalized_modularity(g: WeightedGraph) -> np.ndarray:
     return (m + m.T) / 2.0
 
 
-def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Scale each column so its largest-magnitude coordinate is positive.
+def _fix_signs(vectors: np.ndarray) -> None:
+    """Scale each column in place so its largest-magnitude coordinate is positive.
 
     Ties on the magnitude go to the earliest coordinate.
     """
     if vectors.size == 0:
-        return vectors
+        return
     lead = np.argmax(np.abs(vectors), axis=0)
     signs = np.sign(vectors[lead, np.arange(vectors.shape[1])])
     signs[signs == 0] = 1.0
-    return vectors * signs[None, :]
+    vectors *= signs[None, :]
 
 
 def order_by_abs(lambdas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -113,19 +113,23 @@ def eigendecompose(matrix: np.ndarray, sqrt_degrees: np.ndarray | None = None) -
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
-    if not np.allclose(m, m.T, atol=1e-12, rtol=0.0):
-        raise ValueError("matrix must be symmetric")
+    if not np.array_equal(m, m.T):
+        if not np.allclose(m, m.T, atol=1e-12, rtol=0.0):
+            raise ValueError("matrix must be symmetric")
+        m = (m + m.T) / 2.0
     n = m.shape[0]
     if n == 0:
         empty = np.empty(0)
         return SpectralDecomposition(empty, empty.copy(), np.empty(0, dtype=np.intp),
                                      np.empty((0, 0)), None)
     try:
-        vals, vecs = np.linalg.eigh((m + m.T) / 2.0)
+        vals, vecs = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise EigenFailure(f"symmetric eigensolver failed: {exc}") from exc
     lambdas = vals[::-1].copy()
-    lvecs = vecs[:, ::-1].copy()
+    # a reversed view of eigh's fresh output: edited in place, then gathered
+    # once into the mu order at the end
+    lvecs = vecs[:, ::-1]
 
     q_unit = None
     if sqrt_degrees is not None:
@@ -174,7 +178,8 @@ def eigendecompose(matrix: np.ndarray, sqrt_degrees: np.ndarray | None = None) -
             new_order = np.insert(new_order, last_zero, sd_slot)
             idx = new_order
             mus = lambdas[idx]
-    vectors = _fix_signs(lvecs[:, idx])
+    vectors = lvecs[:, idx]
+    _fix_signs(vectors)
     return SpectralDecomposition(lambdas, mus, idx, vectors, q_unit)
 
 

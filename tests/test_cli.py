@@ -243,3 +243,24 @@ def test_largest_component_flag(tmp_path, capsys):
 def test_bad_eps_rejected(bridge_tsv, capsys):
     code, _, err = run(capsys, "spectrum", bridge_tsv, "--eps", "1.5")
     assert code == 2 and "ValueError" in err
+
+
+def test_outputs_overwrite_longer_files_and_follow_symlinks(block_tsv, tmp_path, capsys):
+    fresh = tmp_path / "fresh.csv"
+    argv = ["converge", block_tsv, "--mode", "blowup", "--schedule", "1,2", "--k", "2"]
+    assert run(capsys, *argv, "-o", str(fresh))[0] == 0
+    expected = fresh.read_bytes()
+    # a longer file already in place ends up holding exactly the new bytes
+    stale = tmp_path / "stale.csv"
+    stale.write_bytes(b"x" * (3 * len(expected)))
+    assert run(capsys, *argv, "-o", str(stale))[0] == 0
+    assert stale.read_bytes() == expected
+    # writing through a symlink updates its target and keeps the link
+    target = tmp_path / "target.tsv"
+    target.write_text("old\n" * 500)
+    link = tmp_path / "link.tsv"
+    link.symlink_to(target)
+    assert run(capsys, "generate", "classical", "--name", "complete", "--n", "3",
+               "-o", str(link))[0] == 0
+    assert link.is_symlink()
+    assert target.read_text() == "v0\tv1\t1.0\nv0\tv2\t1.0\nv1\tv2\t1.0\n"

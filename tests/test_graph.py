@@ -1,5 +1,9 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modspec import (
     DuplicateEdge,
@@ -186,3 +190,224 @@ def test_dump_round_trips_exactly():
         assert back.n == keep.size
         assert np.array_equal(back.weights, expect)
     assert dump_edge_list(WeightedGraph(np.zeros((2, 2)))) == ""
+
+
+# ------------------------------------------------------------ reader oracle
+
+
+def reference_load_edge_list(text):
+    """Line-by-line edge-list reader kept as an independent oracle for load_edge_list."""
+    edges = {}
+    labels = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise ParseError(f"line {lineno}: expected 3 tab-separated fields, got {len(parts)}")
+        u, v, wtext = (p.strip() for p in parts)
+        if not u or not v:
+            raise ParseError(f"line {lineno}: empty vertex label")
+        try:
+            w = float(wtext)
+        except ValueError:
+            raise ParseError(f"line {lineno}: bad weight {wtext!r}") from None
+        if not np.isfinite(w):
+            raise ParseError(f"line {lineno}: weight must be finite")
+        if w < 0:
+            raise NegativeWeight(f"line {lineno}: negative weight {w}")
+        if u == v:
+            raise SelfLoop(f"line {lineno}: self loop at {u!r}")
+        key = (u, v) if u < v else (v, u)
+        if key in edges:
+            raise DuplicateEdge(f"line {lineno}: duplicate edge {u!r} -- {v!r}")
+        edges[key] = w
+        labels.add(u)
+        labels.add(v)
+    ids = tuple(sorted(labels))
+    index = {lab: i for i, lab in enumerate(ids)}
+    weights = np.zeros((len(ids), len(ids)))
+    for (u, v), w in edges.items():
+        weights[index[u], index[v]] = w
+        weights[index[v], index[u]] = w
+    return WeightedGraph(weights, ids)
+
+
+def outcome(reader, text):
+    """The graph a reader returns (labels, weight bytes) or the error it raises."""
+    try:
+        g = reader(text)
+    except Exception as exc:  # the class and message are what is compared
+        return ("error", type(exc), str(exc))
+    return ("graph", g.vertex_ids, g.weights.tobytes())
+
+
+def assert_same_as_reference(text):
+    assert outcome(load_edge_list, text) == outcome(reference_load_edge_list, text), repr(text)
+
+
+LABELS = ("a", "b", "c", "d", "ab", " a", "b ", "", " ", "#c", "a b", "é")
+WEIGHTS = ("1", "0.5", "2.0", "0", "-0.0", "1e-3", " 3", "nan", "inf", "-inf",
+           "-1", "1_0", "x", "", "0x1", "١")
+ENDINGS = ("\n", "\r\n", "\r", "\t\n", " \n", "\x0b", " ")
+
+
+@st.composite
+def edge_list_texts(draw):
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(("edge", "edge", "edge", "blank", "comment", "fields")))
+        if kind == "blank":
+            line = draw(st.sampled_from(("", " ", "\t")))
+        elif kind == "comment":
+            line = draw(st.sampled_from(("# note", "  #\tx\ty\t1", "#")))
+        elif kind == "fields":
+            parts = draw(st.lists(st.sampled_from(LABELS + WEIGHTS), max_size=5))
+            line = "\t".join(parts)
+        else:
+            u, v = draw(st.sampled_from(LABELS)), draw(st.sampled_from(LABELS))
+            line = f"{u}\t{v}\t{draw(st.sampled_from(WEIGHTS))}"
+        lines.append(line + draw(st.sampled_from(ENDINGS)))
+    return "".join(lines)
+
+
+@given(edge_list_texts())
+@settings(max_examples=400)
+def test_reader_matches_reference_on_generated_lists(text):
+    assert_same_as_reference(text)
+
+
+def mutate(rng, text):
+    """Apply a few random edits of the kinds that break edge lists."""
+    alphabet = ["\t", "\n", "\r", " ", "#", "-", "x", "n", "a", "_", "0", ".", "e"]
+    lines = text.splitlines(keepends=True)
+    for _ in range(rng.integers(1, 4)):
+        op = rng.integers(0, 6)
+        if not lines:
+            lines = ["a\tb\t1\n"]
+        i = int(rng.integers(0, len(lines)))
+        line = lines[i]
+        if op == 0:  # insert a character
+            pos = int(rng.integers(0, len(line) + 1))
+            lines[i] = line[:pos] + alphabet[rng.integers(0, len(alphabet))] + line[pos:]
+        elif op == 1 and line:  # delete a character
+            pos = int(rng.integers(0, len(line)))
+            lines[i] = line[:pos] + line[pos + 1:]
+        elif op == 2:  # repeat a line later, possibly reversed
+            parts = line.rstrip("\n").split("\t")
+            if len(parts) == 3 and rng.random() < 0.5:
+                parts[0], parts[1] = parts[1], parts[0]
+            lines.insert(int(rng.integers(i, len(lines) + 1)), "\t".join(parts) + "\n")
+        elif op == 3:  # replace the weight
+            parts = line.rstrip("\n").split("\t")
+            parts[-1] = WEIGHTS[rng.integers(0, len(WEIGHTS))]
+            lines[i] = "\t".join(parts) + "\n"
+        elif op == 4:  # turn the line into a self loop
+            parts = line.rstrip("\n").split("\t")
+            if len(parts) == 3:
+                parts[1] = parts[0]
+                lines[i] = "\t".join(parts) + "\n"
+        else:  # blank or comment line
+            lines.insert(i, ["\n", "# c\n", "  \r\n"][rng.integers(0, 3)])
+    return "".join(lines)
+
+
+def test_reader_matches_reference_on_fuzzed_lists():
+    rng = np.random.default_rng(2024)
+    for _ in range(2000):
+        n = int(rng.integers(2, 8))
+        g = random_graph(rng, n, density=0.6)
+        text = dump_edge_list(g)
+        assert_same_as_reference(text)
+        assert_same_as_reference(mutate(rng, text))
+
+
+@pytest.mark.parametrize("text, error, message", [
+    # bad weight first, then a bad field count: the weight wins
+    ("a\tb\t1\nc\td\tx\ne\tf\n", ParseError, "line 2: bad weight 'x'"),
+    # bad field count first, then a bad weight
+    ("a\tb\n\nc\td\tx\n", ParseError, "line 1: expected 3 tab-separated fields, got 2"),
+    # duplicate before a bad field count
+    ("a\tb\t1\nb\ta\t2\nc\td\t1\t\tq\n", DuplicateEdge, "line 2: duplicate edge 'b' -- 'a'"),
+    # negative weight before a duplicate of an earlier line
+    ("a\tb\t1\nc\td\t-1\na\tb\t1\n", NegativeWeight, "line 2: negative weight -1.0"),
+    # self loop after a comment and before an empty label
+    ("# x\nc\tc\t1\nd\t \t1\n", SelfLoop, "line 2: self loop at 'c'"),
+    # empty label before a non-finite weight
+    ("a\t\t1\r\nb\tc\tnan\r\n", ParseError, "line 1: empty vertex label"),
+    # the duplicate of a bad line is not reported; the bad line is
+    ("a\tb\tinf\na\tb\t1\n", ParseError, "line 1: weight must be finite"),
+])
+def test_reader_reports_earliest_error(text, error, message):
+    with pytest.raises(error) as info:
+        load_edge_list(text)
+    assert str(info.value) == message
+    assert_same_as_reference(text)
+
+
+def test_reader_edge_cases_match_reference():
+    for text in ["", "\n\n", "# only\n", "a\tb\t1", "a\tb\t1\t\n", "a\tb\t-0.0\n",
+                 "a\tb\t1_0\n", " a \t b \t 2 \n", "a\tb\t0\nb\tc\t0\n", "b\ta\t1\na\tc\t1\n",
+                 "a\tb\t1\x1cc\td\t2\n", "a\tb\t1\x85a\tb\t2\n"]:
+        assert_same_as_reference(text)
+
+
+def test_dump_rejects_labels_that_cannot_load_back():
+    w = np.array([[0.0, 1.0], [1.0, 0.0]])
+    for bad in ["", "a\tb", "a\nb", "a\rb", "a\x85b", "a\u2028b", " y", "y ", "#x"]:
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            dump_edge_list(WeightedGraph(w, ("ok", bad)))
+    # an isolated vertex is not written, so its label is never checked
+    iso = np.zeros((3, 3))
+    iso[0, 1] = iso[1, 0] = 1.0
+    assert dump_edge_list(WeightedGraph(iso, ("a", "b", "#x"))) == "a\tb\t1.0\n"
+
+
+def test_dump_drops_isolated_vertices_and_sorts_labels():
+    w = np.zeros((4, 4))
+    w[0, 2] = w[2, 0] = 2.5
+    w[0, 3] = w[3, 0] = 1.0
+    g = WeightedGraph(w, ("z", "lonely", "m", "a b"))
+    back = load_edge_list(dump_edge_list(g))
+    assert back.vertex_ids == ("a b", "m", "z")
+    assert back.weights[2, 1] == 2.5 and back.weights[2, 0] == 1.0
+
+
+safe_labels = st.text(st.characters(codec="utf-8", exclude_characters="\t"),
+                      min_size=1, max_size=6).filter(
+    lambda s: s.splitlines() == [s] and s == s.strip() and not s.startswith("#"))
+
+
+@given(st.data())
+@settings(max_examples=100)
+def test_dump_load_round_trip_property(data):
+    n = data.draw(st.integers(2, 6))
+    labels = data.draw(st.lists(safe_labels, min_size=n, max_size=n, unique=True))
+    upper = data.draw(st.lists(st.sampled_from([0.0, 0.0, 1.0, 0.1, 1e-300, 7.25, 1e300]),
+                               min_size=n * n, max_size=n * n))
+    w = np.triu(np.array(upper).reshape(n, n), k=1)
+    g = WeightedGraph(w + w.T, tuple(labels))
+    back = load_edge_list(dump_edge_list(g))
+    keep = [i for i in np.argsort(np.array(labels, dtype=object)) if g.degrees[i] > 0]
+    assert back.vertex_ids == tuple(labels[i] for i in keep)
+    assert np.array_equal(back.weights, g.weights[np.ix_(keep, keep)])
+
+
+def test_components_are_computed_per_graph():
+    path = np.zeros((4, 4))
+    for i in range(3):
+        path[i, i + 1] = path[i + 1, i] = 1.0
+    g = WeightedGraph(path)
+    assert g.is_connected() and g.is_connected()
+    assert g.largest_component().tolist() == [0, 1, 2, 3]
+    # derived graphs answer for themselves, not from the parent's cached answer
+    split = g.induced_subgraph([0, 1, 3])
+    assert not split.is_connected()
+    assert split.largest_component().tolist() == [0, 1]
+    assert g.induced_subgraph([1, 2]).is_connected()
+    normalized = split.normalize_volume()
+    assert not normalized.is_connected()
+    assert normalized.largest_component().tolist() == [0, 1]
+    assert g.normalize_volume().is_connected()
+    assert g.is_connected()

@@ -183,3 +183,43 @@ def test_empty_matrix_decomposition():
     dec = eigendecompose(np.empty((0, 0)))
     assert dec.n == 0
     assert dec.spectral_norm == 0.0
+
+
+def test_eigendecompose_leaves_its_argument_alone():
+    rng = np.random.default_rng(5)
+    g = random_connected(rng, 9)
+    m = normalized_modularity(g)
+    sq = np.sqrt(g.degrees / g.total_volume)
+    before, sq_before = m.tobytes(), sq.tobytes()
+    dec = eigendecompose(m, sqrt_degrees=sq)
+    assert m.tobytes() == before and sq.tobytes() == sq_before
+    assert not np.shares_memory(dec.vectors, m)
+    # only nearly symmetric: symmetrized for the solver, argument untouched
+    near = m.copy()
+    near[0, 1] += 1e-14
+    near_before = near.tobytes()
+    dec_near = eigendecompose(near, sqrt_degrees=sq)
+    assert near.tobytes() == near_before
+    assert not np.shares_memory(dec_near.vectors, near)
+    assert np.allclose(dec_near.lambdas, dec.lambdas, atol=1e-12)
+    # a second call on the same input gives the same bytes
+    again = eigendecompose(m, sqrt_degrees=sq)
+    assert again.vectors.tobytes() == dec.vectors.tobytes()
+    assert again.lambdas.tobytes() == dec.lambdas.tobytes()
+
+
+def test_sign_fix_does_not_alias_caller_data():
+    g = complete_bipartite(3, 3)
+    m = normalized_modularity(g)
+    sq = np.sqrt(g.degrees / g.total_volume)
+    dec = eigendecompose(m, sqrt_degrees=sq)
+    for other in (m, sq, dec.lambdas, dec.mus, dec.sqrt_degrees):
+        assert not np.shares_memory(dec.vectors, other)
+    kept = dec.sqrt_degrees.copy()
+    dec.vectors[:] = 0.0
+    assert np.array_equal(dec.sqrt_degrees, kept)
+    assert np.array_equal(normalized_modularity(g), m)
+    # every column's largest-magnitude coordinate (first on ties) is positive
+    fresh = eigendecompose(m, sqrt_degrees=sq).vectors
+    lead = np.argmax(np.abs(fresh), axis=0)
+    assert (fresh[lead, np.arange(fresh.shape[1])] > 0).all()
