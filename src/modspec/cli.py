@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
-import os
 import sys
 
 import numpy as np
@@ -75,20 +73,6 @@ def _render_scalar(value) -> str:
     if isinstance(value, str):
         return json.dumps(value)
     return _fmt_number(value)
-
-
-def _write_output(path: str, text: str) -> None:
-    """Overwrite ``path`` in place with ``text`` (UTF-8) and cut it to that length.
-
-    Truncating an existing file to zero before writing, as ``open(path, "w")``
-    does, can force a synchronous flush on some file systems; writing first
-    and truncating at the end leaves the same bytes without that cost.
-    Symlinks are followed, so their targets are updated.
-    """
-    data = text.encode("utf-8")
-    with os.fdopen(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
-        fh.write(data)
-        fh.truncate(len(data))
 
 
 def _load_graph(path: str, use_largest: bool):
@@ -265,7 +249,9 @@ def cmd_generate(args) -> int:
                 raise ValueError(f"classical {args.name} needs --{attr}")
             values.append(val)
         g = classical(args.name, *values)
-    _write_output(args.output, dump_edge_list(g))
+    text = dump_edge_list(g)
+    with open(args.output, "w", encoding="utf-8") as fh:
+        fh.write(text)
     edges = int(np.count_nonzero(np.triu(g.weights, k=1)))
     print(f"n={g.n} edges={edges} -> {args.output}", file=sys.stderr)
     return 0
@@ -294,12 +280,11 @@ def cmd_converge(args) -> int:
                                        restarts=args.restarts, workers=args.threads)
     else:
         table = subspace_convergence(g, schedule, args.k)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(table.columns)
-    for row in list(table.rows) + list(table.medians):
-        writer.writerow([_csv_cell(row[c]) for c in table.columns])
-    _write_output(args.output, buf.getvalue())
+    with open(args.output, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(table.columns)
+        for row in list(table.rows) + list(table.medians):
+            writer.writerow([_csv_cell(row[c]) for c in table.columns])
     total = len(table.rows) + len(table.medians)
     print(f"mode={table.mode} rows={total} -> {args.output}", file=sys.stderr)
     return 0

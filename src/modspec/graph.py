@@ -157,18 +157,20 @@ class WeightedGraph:
         return WeightedGraph(sub, ids)
 
 
-def _check_lines(text: str, stop: int | None = None) -> None:
+def _check_lines(text: str, stop: int | None = None) -> NoReturn:
     """Check edge-list lines one at a time and raise at the first bad one.
 
     Covers the first ``stop`` data lines (all when None); blank and ``#``
     lines are skipped and not counted.  Raises ParseError, SelfLoop,
-    NegativeWeight, or DuplicateEdge with the offending line number.
+    NegativeWeight, or DuplicateEdge with the offending line number, and
+    AssertionError when the lines it covers are all valid: it is called
+    only after the bulk parse in :func:`load_edge_list` flagged one of them.
     """
     seen: set[tuple[str, str]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         # every data line checked so far added one key
         if stop is not None and len(seen) >= stop:
-            return
+            break
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -192,11 +194,6 @@ def _check_lines(text: str, stop: int | None = None) -> None:
         if key in seen:
             raise DuplicateEdge(f"line {lineno}: duplicate edge {u!r} -- {v!r}")
         seen.add(key)
-
-
-def _raise_first_error(text: str, stop: int | None = None) -> NoReturn:
-    """Raise the error the per-line checks find within the first ``stop`` data lines."""
-    _check_lines(text, stop)
     raise AssertionError("bulk edge-list parse flagged a line the per-line check accepts")
 
 
@@ -216,7 +213,7 @@ def load_edge_list(text: str) -> WeightedGraph:
         return WeightedGraph(np.zeros((0, 0)), ())
     tabs = np.fromiter(map(str.count, lines, repeat("\t")), dtype=np.intp, count=m)
     if (tabs != 2).any():
-        _raise_first_error(text, int(np.argmax(tabs != 2)) + 1)
+        _check_lines(text, int(np.argmax(tabs != 2)) + 1)
     # each parsed list is dropped once used, before the n x n matrix exists
     fields = "\t".join(lines).split("\t")
     del lines
@@ -225,7 +222,7 @@ def load_edge_list(text: str) -> WeightedGraph:
     try:
         w = np.fromiter(map(float, fields[2::3]), dtype=float, count=m)
     except ValueError:
-        _raise_first_error(text)
+        _check_lines(text)
     del fields
     labels = set(us)
     labels.update(vs)
@@ -247,7 +244,7 @@ def load_edge_list(text: str) -> WeightedGraph:
     repeated[np.unique(key, return_index=True)[1]] = False
     bad |= repeated
     if bad.any():
-        _raise_first_error(text, int(np.argmax(bad)) + 1)
+        _check_lines(text, int(np.argmax(bad)) + 1)
     weights = np.zeros((n, n))
     weights[iu, iv] = w
     weights[iv, iu] = w

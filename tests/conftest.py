@@ -3,12 +3,9 @@
 Property tests run under a hypothesis profile that draws the same examples
 on every run (``derandomize``), keeps no example database, and sets no
 per-example deadline, so their outcome does not depend on earlier runs or on
-the speed of the machine.  Set ``HYPOTHESIS_PROFILE`` to pick another
-registered profile.
+the speed of the machine.
 """
-import os
-
 from hypothesis import settings
 
 settings.register_profile("modspec", derandomize=True, deadline=None, database=None)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "modspec"))
+settings.load_profile("modspec")

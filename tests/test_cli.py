@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -264,3 +265,13 @@ def test_outputs_overwrite_longer_files_and_follow_symlinks(block_tsv, tmp_path,
                "-o", str(link))[0] == 0
     assert link.is_symlink()
     assert target.read_text() == "v0\tv1\t1.0\nv0\tv2\t1.0\nv1\tv2\t1.0\n"
+
+
+def test_outputs_to_a_device_file(block_tsv, capsys):
+    # an output that is not a regular file takes the bytes without error
+    code, _, err = run(capsys, "converge", block_tsv, "--mode", "blowup",
+                       "--schedule", "1,2", "--k", "2", "-o", os.devnull)
+    assert code == 0, err
+    code, _, err = run(capsys, "generate", "classical", "--name", "complete", "--n", "3",
+                       "-o", os.devnull)
+    assert code == 0, err
