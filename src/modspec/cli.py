@@ -171,7 +171,7 @@ def _regularity_block(g: WeightedGraph, report) -> dict:
 
 def cmd_spectrum(args) -> int:
     raw, g = _load_graph(args.file, args.largest_component)
-    dec = spectral_decomposition(g)
+    dec = spectral_decomposition(g, leading=0)
     report = {
         "input": _input_block(args.file, raw, g, args.largest_component),
         "spectrum": _spectrum_block(dec, args.eps, args.top),
@@ -182,7 +182,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_cluster(args) -> int:
     raw, g = _load_graph(args.file, args.largest_component)
-    dec = spectral_decomposition(g)
+    dec = spectral_decomposition(g, leading=max(args.k - 1, 0))
     _, cluster_block = _cluster_blocks(g, dec, args.k, args.seed, args.restarts)
     report = {
         "input": _input_block(args.file, raw, g, args.largest_component),
@@ -196,7 +196,7 @@ def cmd_cluster(args) -> int:
 def cmd_regularity(args) -> int:
     raw, g = _load_graph(args.file, args.largest_component)
     g = g.normalize_volume()
-    dec = spectral_decomposition(g)
+    dec = spectral_decomposition(g, leading=max(args.k - 1, 0))
     part, cluster_block = _cluster_blocks(g, dec, args.k, args.seed, args.restarts)
     cert = regularity_certificate(g, dec, part, args.k, exact_limit=args.exact_max,
                                   samples=args.samples, seed=args.seed)

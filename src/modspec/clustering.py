@@ -94,6 +94,8 @@ def representatives(dec: SpectralDecomposition, g: WeightedGraph, k: int) -> Rep
         raise BadK(f"k={k} outside [2, {g.n}]")
     if dec.n != g.n:
         raise ValueError("decomposition does not match the graph")
+    if dec.vectors.shape[1] < k - 1:
+        raise ValueError(f"decomposition holds fewer than k-1={k - 1} eigenvectors")
     if (g.degrees <= 0).any():
         raise ZeroDegree("representatives need positive degrees")
     pts = dec.vectors[:, : k - 1] / np.sqrt(g.degrees)[:, None]
@@ -299,6 +301,8 @@ def subspace_distance_sq(dec: SpectralDecomposition, g: WeightedGraph,
     basis = np.sqrt(g.degrees)[:, None] * z
     if dec.sqrt_degrees is None:
         raise ValueError("decomposition lacks the degree vector")
+    if dec.vectors.shape[1] < k - 1:
+        raise ValueError(f"decomposition holds fewer than k-1={k - 1} eigenvectors")
     total = 0.0
     cols = [dec.sqrt_degrees] + [dec.vectors[:, i] for i in range(k - 1)]
     for u in cols:

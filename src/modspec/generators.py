@@ -147,4 +147,4 @@ def blow_up(g: WeightedGraph, t: int) -> WeightedGraph:
         raise BadSize("blow-up factor must be >= 1")
     w = np.kron(g.weights, np.ones((t, t)))
     ids = tuple(f"{v}#{c:03d}" for v in g.vertex_ids for c in range(t))
-    return WeightedGraph(w, ids)
+    return WeightedGraph._adopt(w, ids)

@@ -62,7 +62,23 @@ class WeightedGraph:
     total_volume: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        w = np.array(self.weights, dtype=float)
+        self._freeze(np.array(self.weights, dtype=float))
+
+    @classmethod
+    def _adopt(cls, weights: np.ndarray, vertex_ids=()) -> "WeightedGraph":
+        """Graph that takes over a fresh float array instead of copying it.
+
+        For constructors in this package that build ``weights`` themselves
+        and never touch it again; every check of the public constructor
+        still runs, and the array is frozen in place.
+        """
+        g = object.__new__(cls)
+        object.__setattr__(g, "vertex_ids", vertex_ids)
+        g._freeze(np.asarray(weights, dtype=float))
+        return g
+
+    def _freeze(self, w: np.ndarray) -> None:
+        """Validate ``w`` and the labels, then store them with the degree sums."""
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ValueError("weight matrix must be square")
         n = w.shape[0]
@@ -96,7 +112,7 @@ class WeightedGraph:
         """Scale all weights so the total volume (sum of degrees) equals 1."""
         if self.total_volume <= 0.0:
             raise ZeroVolume("cannot normalize a graph with zero total volume")
-        return WeightedGraph(self.weights / self.total_volume, self.vertex_ids)
+        return WeightedGraph._adopt(self.weights / self.total_volume, self.vertex_ids)
 
     def volume(self, indices) -> float:
         idx = vertex_subset(indices, self.n)
@@ -154,7 +170,7 @@ class WeightedGraph:
         idx = vertex_subset(indices, self.n)
         sub = self.weights[np.ix_(idx, idx)]
         ids = tuple(self.vertex_ids[i] for i in idx)
-        return WeightedGraph(sub, ids)
+        return WeightedGraph._adopt(sub, ids)
 
 
 def _check_lines(text: str, stop: int | None = None) -> NoReturn:
@@ -248,7 +264,7 @@ def load_edge_list(text: str) -> WeightedGraph:
     weights = np.zeros((n, n))
     weights[iu, iv] = w
     weights[iv, iu] = w
-    return WeightedGraph(weights, ids)
+    return WeightedGraph._adopt(weights, ids)
 
 
 def _check_dump_label(label: str) -> None:

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import NoSeparation, TooLarge, ZeroVolume
 from .graph import WeightedGraph, vertex_subset
 from .clustering import Partition, k_variance, representatives
-from .spectral import SpectralDecomposition
+from .spectral import SpectralDecomposition, eigendecompose
 
 MIXING_EXACT_LIMIT = 12
 ENUM_LIMIT = 24
@@ -364,8 +364,9 @@ def sin_theta_check(a_mat, b_mat, a_interval, b_interval) -> tuple[float, float]
             raise ValueError("matrices must be symmetric")
     if a.shape != b.shape:
         raise ValueError("matrices must share a shape")
-    va, ua = np.linalg.eigh((a + a.T) / 2.0)
-    vb, ub = np.linalg.eigh((b + b.T) / 2.0)
+    dec_a, dec_b = eigendecompose(a), eigendecompose(b)
+    va, ua = dec_a.mus, dec_a.vectors
+    vb, ub = dec_b.mus, dec_b.vectors
     lo_a, hi_a = float(a_interval[0]), float(a_interval[1])
     lo_b, hi_b = float(b_interval[0]), float(b_interval[1])
     sel_a = (va >= lo_a) & (va <= hi_a)

@@ -84,7 +84,8 @@ def sample_subgraph(g: WeightedGraph, m: int, seed: int) -> SampleDraw:
     pair_probs = g.weights[np.ix_(slots, slots)]
     upper = np.triu(uniforms < pair_probs, k=1)
     adj = (upper | upper.T).astype(float)
-    return SampleDraw(slots=slots, graph=WeightedGraph(adj, default_vertex_ids(m)), seed=seed)
+    graph = WeightedGraph._adopt(adj, default_vertex_ids(m))
+    return SampleDraw(slots=slots, graph=graph, seed=seed)
 
 
 def _check_schedule(g: WeightedGraph, schedule, trials: int) -> list[int]:
@@ -147,7 +148,7 @@ def spectral_convergence(g: WeightedGraph, schedule, trials: int, j: int, seed: 
     sched = _check_schedule(g, schedule, trials)
     if j < 1 or j > min(sched) - 1:
         raise BadSize(f"j={j} outside [1, min(schedule)-1]")
-    ref = spectral_decomposition(g)
+    ref = spectral_decomposition(g, leading=0)
     ref_mus = ref.mus[:j]
 
     def run(task):
@@ -160,7 +161,7 @@ def spectral_convergence(g: WeightedGraph, schedule, trials: int, j: int, seed: 
         row = {"m": m, "trial": trial, "coverage": coverage,
                "flagged": int(coverage < COVERAGE_FLAG)}
         if sub.n > max(j, 1) and sub.total_volume > 0:
-            mus = spectral_decomposition(sub).mus[:j]
+            mus = spectral_decomposition(sub, leading=0).mus[:j]
             for i in range(j):
                 row[f"mu_{i + 1}"] = float(mus[i])
                 row[f"err_{i + 1}"] = float(abs(mus[i] - ref_mus[i]))
@@ -196,7 +197,7 @@ def subspace_convergence(g: WeightedGraph, factors, k: int) -> ConvergenceTable:
         raise BadSize("factors must start at 1")
     if any(b <= a for a, b in zip(fac, fac[1:])):
         raise BadSize("factors must be strictly increasing")
-    dec = spectral_decomposition(g)
+    dec = spectral_decomposition(g, leading=k - 1)
     if abs(dec.mus[k - 2]) - abs(dec.mus[k - 1]) < 1e-8:
         raise NoGap("no eigenvalue-magnitude gap between positions k-1 and k")
     sqrt_d = np.sqrt(g.degrees)
@@ -204,8 +205,7 @@ def subspace_convergence(g: WeightedGraph, factors, k: int) -> ConvergenceTable:
     rows = []
     for t in fac:
         gt = g if t == 1 else blow_up(g, t)
-        dect = spectral_decomposition(gt)
-        vecs = dect.vectors[:, : k - 1]
+        vecs = (dec if t == 1 else spectral_decomposition(gt, leading=k - 1)).vectors
         transformed = vecs / np.sqrt(gt.degrees)[:, None]
         averaged = transformed.reshape(g.n, t, k - 1).mean(axis=1)
         basis, _ = np.linalg.qr(sqrt_d[:, None] * averaged)
@@ -227,7 +227,7 @@ def k_variance_convergence(g: WeightedGraph, schedule, trials: int, k: int, seed
     sched = _check_schedule(g, schedule, trials)
     if not 2 <= k <= min(sched):
         raise BadK(f"k={k} outside [2, min(schedule)]")
-    dec = spectral_decomposition(g)
+    dec = spectral_decomposition(g, leading=k - 1)
     reps = representatives(dec, g, k)
     _, ref_value = weighted_kmeans(reps, k, restarts=restarts, seed=seed)
 
@@ -238,7 +238,7 @@ def k_variance_convergence(g: WeightedGraph, schedule, trials: int, k: int, seed
         row = {"m": m, "trial": trial, "coverage": coverage,
                "flagged": int(coverage < COVERAGE_FLAG)}
         if sub.n >= max(k, 2) and sub.total_volume > 0:
-            sdec = spectral_decomposition(sub)
+            sdec = spectral_decomposition(sub, leading=k - 1)
             sreps = representatives(sdec, sub, k)
             _, value = weighted_kmeans(sreps, k, restarts=restarts, seed=child)
             row["k_variance"] = float(value)

@@ -4,9 +4,12 @@ The matrix for a connected graph with positive degrees is
 
     M = D^{-1/2} W D^{-1/2} - sqrt(d) sqrt(d)^T
 
-computed on the volume-normalized graph, so its spectrum lies in [-1, 1],
-0 is always an eigenvalue with eigenvector sqrt(d), and the whole spectrum
-is invariant under rescaling all weights by a positive constant.
+with the degrees d of the volume-normalized graph, so its spectrum lies in
+[-1, 1], 0 is always an eigenvalue with eigenvector sqrt(d), and the whole
+spectrum is invariant under rescaling all weights by a positive constant.
+
+Every eigenvalue is always computed; eigenvectors only for as many leading
+positions of the absolute-value order as the caller asks for.
 
 Two orderings of the spectrum are kept side by side: by descending value
 (``lambdas``) and by descending absolute value (``mus``), linked by an index
@@ -18,19 +21,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import Disconnected, EigenFailure, ZeroDegree
 from .graph import WeightedGraph
 
 # treat |eigenvalue| at or below this as zero for ordering and counting
 ZERO_TOL = 1e-10
+# largest accepted eigen-equation and null-vector residual, relative to
+# max(1, spectral norm)
+RESIDUAL_TOL = 1e-8
 
 
 def normalized_modularity(g: WeightedGraph) -> np.ndarray:
     """Normalized modularity matrix of a connected graph with positive degrees.
 
-    The graph is volume-normalized internally, so callers may pass weights at
-    any scale.  The result is symmetrized to guard against roundoff.
+    Entry (i, j) is ``w_ij / sqrt(d_i d_j) - sqrt(d_i d_j) / Vol`` for the
+    raw degrees d, so callers may pass weights at any scale.  Weights and
+    degrees are first scaled by one power of two, which is exact and keeps
+    the degree products finite.  Both terms are symmetric products, so the
+    result is exactly symmetric.
     """
     if g.n == 0:
         raise ZeroDegree("empty graph has no modularity matrix")
@@ -38,13 +48,16 @@ def normalized_modularity(g: WeightedGraph) -> np.ndarray:
         raise ZeroDegree("every vertex needs positive degree")
     if not g.is_connected():
         raise Disconnected("normalized modularity needs a connected graph")
-    w = g.weights / g.total_volume
-    d = g.degrees / g.total_volume
-    inv_sqrt = 1.0 / np.sqrt(d)
-    m = inv_sqrt[:, None] * w * inv_sqrt[None, :]
-    sq = np.sqrt(d)
-    m -= np.outer(sq, sq)
-    return (m + m.T) / 2.0
+    scale = 2.0 ** -int(np.frexp(g.degrees.max())[1])
+    deg = g.degrees * scale
+    # the one n x n temporary: sqrt(d_i d_j), later divided by the volume
+    root = np.outer(deg, deg)
+    np.sqrt(root, out=root)
+    m = g.weights * scale
+    m /= root
+    root /= g.total_volume * scale
+    m -= root
+    return m
 
 
 def _fix_signs(vectors: np.ndarray) -> None:
@@ -75,13 +88,15 @@ def order_by_abs(lambdas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Full symmetric eigendecomposition in both orderings.
+    """All eigenvalues in two orderings, plus the leading eigenvectors.
 
     ``lambdas`` is sorted by descending value.  ``mus`` is the same multiset
     sorted by descending absolute value, with ``mu_to_lambda`` mapping each
-    position to its rank in ``lambdas``; ``vectors`` columns follow the
-    ``mus`` order.  When the decomposition came from a graph,
-    ``sqrt_degrees`` holds the unit vector of square-root degrees and the
+    position to its rank in ``lambdas``.  ``vectors`` holds orthonormal
+    eigenvectors for the first ``vectors.shape[1]`` positions of the ``mus``
+    order (all n unless fewer were asked for).  When the decomposition came
+    from a graph, ``sqrt_degrees`` holds the unit vector of square-root
+    degrees; whenever zero eigenvalues are among the returned columns, the
     zero eigenspace basis is rotated so that vector appears as the last
     zero-eigenvalue column.
     """
@@ -101,14 +116,59 @@ class SpectralDecomposition:
         return float(np.abs(self.mus[0])) if self.n else 0.0
 
 
-def eigendecompose(matrix: np.ndarray, sqrt_degrees: np.ndarray | None = None) -> SpectralDecomposition:
+def _lapack_info(info: int, routine: str) -> None:
+    if info != 0:
+        raise EigenFailure(f"LAPACK {routine} failed with info={info}")
+
+
+def _tridiagonal_vectors(d: np.ndarray, e: np.ndarray, top: int, bottom: int) -> np.ndarray:
+    """Eigenvectors of the tridiagonal matrix for the ``top`` largest and the
+    ``bottom`` smallest eigenvalues, as columns in descending-value order.
+
+    MRRR (``dstemr``) with RANGE='I' computes only the requested index
+    ranges; a request covering all n eigenvalues uses RANGE='A'.
+    """
+    n = d.size
+    # (RANGE, il, iu) with 1-based ascending indices; RANGE 0 is 'A', 2 is 'I'
+    ranges = [(0, 1, n)] if top + bottom == n else \
+        [(2, lo, hi) for lo, hi in ((1, bottom), (n - top + 1, n)) if hi >= lo]
+    blocks = []
+    for kind, il, iu in ranges:
+        # dstemr overwrites its off-diagonal, which has length n (the last
+        # entry is workspace), so each call gets a fresh one; the wrapper's
+        # default workspace sizes are the ones LAPACK asks for
+        count, _, z, info = lapack.dstemr(d, np.append(e, 0.0), kind, 0.0, 1.0, il, iu)
+        _lapack_info(info, "dstemr")
+        if count != iu - il + 1:
+            raise EigenFailure(f"dstemr returned {count} of {iu - il + 1} eigenvectors")
+        # dstemr's z is n x n whatever the range: keep only the filled columns
+        blocks.append(z if count == n else z[:, :count].copy())
+    if not blocks:
+        return np.empty((n, 0))
+    # ascending value order across the ranges, reversed to descending
+    return (blocks[0] if len(blocks) == 1 else np.hstack(blocks))[:, ::-1]
+
+
+def eigendecompose(matrix: np.ndarray, sqrt_degrees: np.ndarray | None = None,
+                   leading: int | None = None) -> SpectralDecomposition:
     """Eigendecompose a symmetric matrix into the two-ordering form.
 
-    When ``sqrt_degrees`` is supplied it must lie in the numerical null space
-    of the matrix; the zero eigenspace is then re-based so that one basis
-    vector equals it exactly, placed last among the zero eigenvalues in the
-    absolute-value ordering.  Residuals of rotated columns stay within the
-    null-space magnitude, far below the 1e-8 documented tolerance.
+    All eigenvalues are computed; eigenvectors only for the first
+    ``leading`` positions of the absolute-value order (all n when None, at
+    most n).  The matrix is reduced to tridiagonal form once (``dsytrd``),
+    its eigenvalues come from ``dsterf``, and the requested eigenvectors
+    from MRRR (``dstemr``) mapped back by the stored reflectors
+    (``dormqr``).  The largest magnitudes are the top of the value order
+    plus its bottom, so at most two index ranges are solved.
+
+    When ``sqrt_degrees`` is supplied, ``M q`` for its unit vector q must
+    vanish (residual at most RESIDUAL_TOL, scaled by the spectral norm when
+    that exceeds 1) and a numerical zero eigenvalue must exist, else
+    ValueError.  If the requested columns reach the zero eigenvalues, the
+    whole zero eigenspace is computed and re-based so that one basis vector
+    equals q exactly, placed last among the zero eigenvalues in the
+    absolute-value ordering.  Every returned column must satisfy the
+    eigen-equation within the same tolerance, else EigenFailure.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -117,20 +177,16 @@ def eigendecompose(matrix: np.ndarray, sqrt_degrees: np.ndarray | None = None) -
         if not np.allclose(m, m.T, atol=1e-12, rtol=0.0):
             raise ValueError("matrix must be symmetric")
         m = (m + m.T) / 2.0
+    if not np.isfinite(m).all():
+        raise ValueError("matrix must be finite")
     n = m.shape[0]
+    if leading is not None and leading < 0:
+        raise ValueError("leading must be >= 0")
+    r = n if leading is None else min(int(leading), n)
     if n == 0:
         empty = np.empty(0)
         return SpectralDecomposition(empty, empty.copy(), np.empty(0, dtype=np.intp),
                                      np.empty((0, 0)), None)
-    try:
-        vals, vecs = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:
-        raise EigenFailure(f"symmetric eigensolver failed: {exc}") from exc
-    lambdas = vals[::-1].copy()
-    # a reversed view of eigh's fresh output: edited in place, then gathered
-    # once into the mu order at the end
-    lvecs = vecs[:, ::-1]
-
     q_unit = None
     if sqrt_degrees is not None:
         q = np.asarray(sqrt_degrees, dtype=float).ravel()
@@ -141,53 +197,84 @@ def eigendecompose(matrix: np.ndarray, sqrt_degrees: np.ndarray | None = None) -
             raise ValueError("sqrt_degrees must be nonzero")
         q_unit = q / norm
 
+    # m.T is the Fortran-ordered view of the symmetric m; dsytrd copies it
+    lwork, info = lapack.dsytrd_lwork(n, lower=1)
+    _lapack_info(info, "dsytrd_lwork")
+    c, d, e, tau, info = lapack.dsytrd(m.T, lower=1, lwork=int(lwork))
+    _lapack_info(info, "dsytrd")
+    if n == 1:
+        # the f2py wrapper of dsterf rejects an empty off-diagonal
+        vals = d.copy()
+    else:
+        vals, info = lapack.dsterf(d, e)
+        _lapack_info(info, "dsterf")
+    lambdas = vals[::-1].copy()
+    mus, idx = order_by_abs(lambdas)
+    tol = RESIDUAL_TOL * max(1.0, float(np.abs(mus[0])))
+
     zero_mask = np.abs(lambdas) <= ZERO_TOL
+    want = r
     if q_unit is not None:
+        if np.linalg.norm(m @ q_unit) > tol:
+            raise ValueError("sqrt_degrees is not in the numerical null space")
         if not zero_mask.any():
             raise ValueError("matrix has no numerical zero eigenvalue to align with sqrt_degrees")
+        # zeros come last in the mu order: reaching one means every nonzero
+        # is requested, so widening to the whole zero block means all n
+        if r > n - np.count_nonzero(zero_mask):
+            want = n
+
+    # the first `want` mu positions hold the values of a prefix plus a suffix
+    # of the lambda order: the nonnegative ones are a prefix, the negative
+    # ones the most negative values.  Within an exact tie the mu order may
+    # name other ranks of the same value; the computed columns serve them.
+    ranks = np.sort(idx[:want])
+    top = int(np.count_nonzero(lambdas[ranks] >= -ZERO_TOL))
+    z = _tridiagonal_vectors(d, e, top, want - top)
+    if n > 1 and want:
+        # Q = diag(1, Q') with Q' the product of the reflectors below the subdiagonal
+        z[1:], _, info = lapack.dormqr("L", "N", c[1:, :n - 1], tau, z[1:], 64 * want)
+        _lapack_info(info, "dormqr")
+
+    if q_unit is not None and want == n:
         zcols = np.flatnonzero(zero_mask)
-        zbasis = lvecs[:, zcols]
-        inside = np.linalg.norm(zbasis.T @ q_unit)
-        if inside < 0.99:
-            raise ValueError("sqrt_degrees is not in the numerical null space")
         if zcols.size == 1:
-            lvecs[:, zcols[0]] = q_unit
+            z[:, zcols[0]] = q_unit
         else:
             # rotate inside the eigenspace: express q in kernel coordinates,
             # then any square orthonormal frame whose first column follows
-            # those coordinates has the rest spanning the complement of q
+            # those coordinates has the rest spanning the complement of q;
+            # the zero ranks are the last positions of the mu order, in
+            # rank order, so q in the last zero rank goes last among them
+            zbasis = z[:, zcols]
             coords = zbasis.T @ q_unit
             frame, _ = np.linalg.qr(
                 np.column_stack([coords, np.eye(zcols.size)]))
             if frame[:, 0] @ coords < 0:
                 frame = -frame
-            lvecs[:, zcols[:-1]] = zbasis @ frame[:, 1:]
-            lvecs[:, zcols[-1]] = q_unit
+            z[:, zcols[:-1]] = zbasis @ frame[:, 1:]
+            z[:, zcols[-1]] = q_unit
 
-    mus, idx = order_by_abs(lambdas)
-    if q_unit is not None:
-        # force the column now holding sqrt(d) (last zero lambda slot) to the
-        # final position among the zero entries of the mu ordering
-        zcols = np.flatnonzero(zero_mask)
-        sd_slot = zcols[-1]
-        pos = np.flatnonzero(idx == sd_slot)[0]
-        zero_positions = np.flatnonzero(np.abs(mus) <= ZERO_TOL)
-        last_zero = zero_positions[-1]
-        if pos != last_zero:
-            new_order = np.delete(idx, pos)
-            new_order = np.insert(new_order, last_zero, sd_slot)
-            idx = new_order
-            mus = lambdas[idx]
-    vectors = lvecs[:, idx]
+    # z holds the columns of `ranks` in order
+    vectors = z[:, np.searchsorted(ranks, idx[:r])]
     _fix_signs(vectors)
+    if r:
+        resid = np.linalg.norm(m @ vectors - vectors * mus[:r], axis=0).max()
+        if not resid <= tol:
+            raise EigenFailure(f"eigen-equation residual {resid:.3e} exceeds {tol:.1e}")
     return SpectralDecomposition(lambdas, mus, idx, vectors, q_unit)
 
 
-def spectral_decomposition(g: WeightedGraph) -> SpectralDecomposition:
-    """Eigendecompose the normalized modularity matrix of a graph."""
+def spectral_decomposition(g: WeightedGraph, leading: int | None = None) -> SpectralDecomposition:
+    """Eigendecompose the normalized modularity matrix of a graph.
+
+    ``leading`` limits the eigenvectors to the first positions of the
+    absolute-value order, as in :func:`eigendecompose`; all eigenvalues are
+    always returned.
+    """
     m = normalized_modularity(g)
     sq = np.sqrt(g.degrees / g.total_volume)
-    return eigendecompose(m, sqrt_degrees=sq)
+    return eigendecompose(m, sqrt_degrees=sq, leading=leading)
 
 
 def structural_count(dec: SpectralDecomposition, eps: float) -> int:

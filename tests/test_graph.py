@@ -411,3 +411,52 @@ def test_components_are_computed_per_graph():
     assert normalized.largest_component().tolist() == [0, 1]
     assert g.normalize_volume().is_connected()
     assert g.is_connected()
+
+
+def test_constructor_copies_a_caller_array():
+    w = np.array([[0.0, 1.0, 2.0],
+                  [1.0, 0.0, 0.5],
+                  [2.0, 0.5, 0.0]])
+    g = WeightedGraph(w)
+    assert not np.shares_memory(g.weights, w)
+    assert w.flags.writeable
+    w[0, 1] = w[1, 0] = 9.0
+    assert g.weights[0, 1] == 1.0
+    assert g.degrees.tolist() == [3.0, 1.5, 2.5]
+    assert np.array_equal(g.weights, triangle().weights)
+
+
+def test_adopted_arrays_are_frozen_in_place_and_still_checked():
+    w = triangle().weights.copy()
+    g = WeightedGraph._adopt(w, ("a", "b", "c"))
+    assert np.shares_memory(g.weights, w)
+    assert not w.flags.writeable
+    assert g.vertex_ids == ("a", "b", "c")
+    assert np.array_equal(g.degrees, triangle().degrees)
+    assert g.total_volume == triangle().total_volume
+    bad = [
+        (np.zeros((2, 3)), ValueError),
+        (np.array([[0.0, 1.0], [2.0, 0.0]]), ValueError),
+        (np.array([[0.0, -1.0], [-1.0, 0.0]]), NegativeWeight),
+        (np.array([[1.0, 0.0], [0.0, 0.0]]), SelfLoop),
+        (np.array([[0.0, np.nan], [np.nan, 0.0]]), ValueError),
+    ]
+    for weights, error in bad:
+        with pytest.raises(error):
+            WeightedGraph._adopt(weights)
+    with pytest.raises(ValueError):
+        WeightedGraph._adopt(np.zeros((2, 2)), ("a", "a"))
+
+
+def test_derived_graphs_are_frozen():
+    from modspec.generators import blow_up
+    from modspec.sampling import sample_subgraph
+
+    g = load_edge_list("a\tb\t0.5\nb\tc\t0.25\na\tc\t1.0\n")
+    derived = [g, g.induced_subgraph([0, 2]), g.normalize_volume(), blow_up(g, 2),
+               sample_subgraph(g, 5, seed=1).graph]
+    for h in derived:
+        assert not h.weights.flags.writeable
+        assert not np.shares_memory(h.weights, g.weights) or h is g
+    assert derived[1].weights.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+    assert derived[2].total_volume == pytest.approx(1.0)

@@ -1,18 +1,26 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modspec import (
     Disconnected,
     EigenFailure,
+    Partition,
     WeightedGraph,
     ZeroDegree,
+    dump_edge_list,
     eigendecompose,
     normalized_modularity,
     order_by_abs,
+    representatives,
     spectral_decomposition,
     spectral_gap,
     structural_count,
+    subspace_distance_sq,
 )
+from modspec import spectral
+from modspec.cli import main
 from modspec.generators import complete_bipartite, complete_graph, two_cliques_bridge
 from modspec.spectral import ZERO_TOL
 
@@ -223,3 +231,174 @@ def test_sign_fix_does_not_alias_caller_data():
     fresh = eigendecompose(m, sqrt_degrees=sq).vectors
     lead = np.argmax(np.abs(fresh), axis=0)
     assert (fresh[lead, np.arange(fresh.shape[1])] > 0).all()
+
+
+@st.composite
+def connected_graphs(draw):
+    """Connected weighted graphs: dense random, sparse with a path backbone,
+    near-multipartite (heavy weights across parts, light ones inside, so the
+    structural mu are negative), complete graphs and K_{a,b}."""
+    kind = draw(st.sampled_from(["dense", "sparse", "multipartite", "complete", "bipartite"]))
+    if kind == "complete":
+        return complete_graph(draw(st.integers(2, 9)))
+    if kind == "bipartite":
+        return complete_bipartite(draw(st.integers(1, 5)), draw(st.integers(1, 5)))
+    n = draw(st.integers(3, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "dense":
+        w = rng.random((n, n))
+    elif kind == "sparse":
+        w = rng.random((n, n)) * (rng.random((n, n)) < 0.3)
+        w[np.arange(n - 1), np.arange(1, n)] = rng.random(n - 1) + 0.1
+    else:
+        parts = rng.integers(0, draw(st.integers(2, 4)), size=n)
+        parts[:2] = (0, 1)
+        cross = parts[:, None] != parts[None, :]
+        w = np.where(cross, 0.5 + 0.5 * rng.random((n, n)), 0.05 * rng.random((n, n)))
+    w = np.triu(w, k=1)
+    return WeightedGraph(w + w.T)
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_normalized_modularity_is_exactly_symmetric_and_scale_free(data):
+    g = data.draw(connected_graphs())
+    m = normalized_modularity(g)
+    assert np.array_equal(m, m.T)
+    scale = data.draw(st.sampled_from([1e-200, 1e-3, 0.37, 37.5, 1e6, 2.0**40 + 1, 1e200]))
+    scaled = normalized_modularity(WeightedGraph(g.weights * scale))
+    assert np.array_equal(scaled, scaled.T)
+    assert np.abs(scaled - m).max() <= 1e-12
+
+
+@settings(max_examples=150)
+@given(connected_graphs())
+def test_leading_columns_match_the_full_decomposition(g):
+    n = g.n
+    m = normalized_modularity(g)
+    sq = np.sqrt(g.degrees / g.total_volume)
+    full = spectral_decomposition(g)
+    for r in range(n + 1):
+        dec = spectral_decomposition(g, leading=r)
+        assert dec.lambdas.tobytes() == full.lambdas.tobytes()
+        assert dec.mus.tobytes() == full.mus.tobytes()
+        assert dec.mu_to_lambda.tobytes() == full.mu_to_lambda.tobytes()
+        v = dec.vectors
+        assert v.shape == (n, r)
+        assert np.abs(v.T @ v - np.eye(r)).max(initial=0.0) <= 1e-8
+        assert np.linalg.norm(m @ v - v * dec.mus[:r], axis=0).max(initial=0.0) <= 1e-8
+        # sqrt(d) is the last column of the mu order; every earlier one is
+        # orthogonal to it, zero-eigenvalue columns included
+        assert np.abs(v[:, : min(r, n - 1)].T @ sq).max(initial=0.0) <= 1e-8
+        if r == n:
+            assert np.allclose(v[:, -1], sq, atol=1e-10)
+        # where a clear magnitude gap follows position r the subspace is
+        # well defined (below a gap of about 1e-6 roundoff alone moves the
+        # projector by more than 1e-8)
+        if 0 < r < n and abs(full.mus[r - 1]) - abs(full.mus[r]) > 1e-6:
+            ref = full.vectors[:, :r]
+            assert np.abs(v @ v.T - ref @ ref.T).max() <= 1e-8
+
+
+def test_leading_columns_on_tiny_matrices():
+    for mat in (np.empty((0, 0)), np.array([[0.25]]), np.array([[-3.0]])):
+        n = mat.shape[0]
+        full = eigendecompose(mat)
+        for r in range(n + 1):
+            dec = eigendecompose(mat, leading=r)
+            assert dec.lambdas.tobytes() == full.lambdas.tobytes()
+            assert dec.vectors.shape == (n, r)
+            assert np.array_equal(dec.vectors, full.vectors[:, :r])
+    # without sqrt_degrees a request may stop inside a zero block; values
+    # within ZERO_TOL of zero, of either sign, are part of that block
+    q, _ = np.linalg.qr(np.random.default_rng(7).standard_normal((6, 6)))
+    mat = q @ np.diag([0.5, 3e-11, 0.0, 0.0, -4e-11, -0.75]) @ q.T
+    mat = (mat + mat.T) / 2.0
+    full = eigendecompose(mat)
+    for r in range(7):
+        dec = eigendecompose(mat, leading=r)
+        assert dec.mu_to_lambda.tobytes() == full.mu_to_lambda.tobytes()
+        v = dec.vectors
+        assert np.abs(v.T @ v - np.eye(r)).max(initial=0.0) <= 1e-8
+        assert np.linalg.norm(mat @ v - v * dec.mus[:r], axis=0).max(initial=0.0) <= 1e-8
+    # more columns than exist gives all of them; fewer than none is an error
+    assert eigendecompose(np.eye(2), leading=5).vectors.shape == (2, 2)
+    with pytest.raises(ValueError):
+        eigendecompose(np.eye(2), leading=-1)
+
+
+def test_two_ended_selection_on_a_near_bipartite_graph():
+    # two communities, each a near-complete bipartite graph: two mu near -1
+    # and one near +1 lead, so the request takes both ends of the value order
+    rng = np.random.default_rng(8)
+    n = 12
+    group = np.arange(n) // 3
+    community, side = group // 2, group % 2
+    heavy = (community[:, None] == community[None, :]) & (side[:, None] != side[None, :])
+    w = np.where(heavy, 1.0, 0.05) * (0.5 + rng.random((n, n)))
+    w = np.triu(w, k=1)
+    g = WeightedGraph(w + w.T)
+    full = spectral_decomposition(g)
+    assert full.mus[0] < -0.8 and full.mus[1] > 0.8 and full.mus[2] < -0.8
+    dec = spectral_decomposition(g, leading=3)
+    assert sorted(dec.mu_to_lambda[:3]) == [0, n - 2, n - 1]
+    for i in range(3):
+        assert np.allclose(dec.vectors[:, i], full.vectors[:, i], atol=1e-10)
+
+
+def test_fewer_columns_than_k_minus_one_are_rejected():
+    g = two_cliques_bridge(4)
+    part = Partition.from_labels(np.repeat([0, 1, 2], [3, 3, 2]), 3, g.degrees)
+    short = spectral_decomposition(g, leading=1)
+    with pytest.raises(ValueError):
+        representatives(short, g, 3)
+    with pytest.raises(ValueError):
+        subspace_distance_sq(short, g, part, 3)
+    enough = spectral_decomposition(g, leading=2)
+    assert representatives(enough, g, 3).points.shape == (8, 2)
+    assert subspace_distance_sq(enough, g, part, 3) >= 0.0
+
+
+def test_null_vector_residual_is_enforced():
+    rng = np.random.default_rng(6)
+    g = random_connected(rng, 9)
+    m = normalized_modularity(g)
+    sq = np.sqrt(g.degrees / g.total_volume)
+    # almost the null vector: far inside the zero eigenspace by angle, but
+    # M q is about 1e-6, above the residual tolerance
+    off = sq + 1e-6 * rng.standard_normal(9)
+    assert np.linalg.norm(m @ (off / np.linalg.norm(off))) > 1e-8
+    with pytest.raises(ValueError):
+        eigendecompose(m, sqrt_degrees=off)
+    with pytest.raises(ValueError):
+        eigendecompose(m, sqrt_degrees=off, leading=0)
+    # a symmetric matrix with an infinite entry is rejected
+    with pytest.raises(ValueError):
+        eigendecompose(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+
+
+def _skew_first_column(monkeypatch):
+    real = spectral._tridiagonal_vectors
+
+    def skewed(d, e, top, bottom):
+        z = np.array(real(d, e, top, bottom))
+        if z.shape[1]:
+            z[:, 0] = np.roll(z[:, 0], 1)
+        return z
+
+    monkeypatch.setattr(spectral, "_tridiagonal_vectors", skewed)
+
+
+def test_eigen_equation_residual_is_enforced(monkeypatch, tmp_path, capsys):
+    g = two_cliques_bridge(5)
+    path = tmp_path / "bridge.tsv"
+    path.write_text(dump_edge_list(g))
+    _skew_first_column(monkeypatch)
+    with pytest.raises(EigenFailure):
+        spectral_decomposition(g, leading=2)
+    with pytest.raises(EigenFailure):
+        spectral_decomposition(g)
+    assert main(["cluster", str(path), "--k", "2", "--seed", "0"]) == 3
+    assert "EigenFailure" in capsys.readouterr().err
+    # a request for no vectors computes none, so nothing can be skewed
+    assert spectral_decomposition(g, leading=0).vectors.shape == (10, 0)
