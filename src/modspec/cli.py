@@ -252,7 +252,7 @@ def cmd_generate(args) -> int:
     text = dump_edge_list(g)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(text)
-    edges = int(np.count_nonzero(np.triu(g.weights, k=1)))
+    edges = int(np.count_nonzero(g.weights) // 2)
     print(f"n={g.n} edges={edges} -> {args.output}", file=sys.stderr)
     return 0
 
@@ -268,16 +268,13 @@ def _csv_cell(value) -> str:
 def cmd_converge(args) -> int:
     _, g = _load_graph(args.file, False)
     schedule = _parse_sizes(args.schedule)
+    if args.mode != "blowup" and args.seed is None:
+        raise ValueError(f"{args.mode} mode needs --seed")
     if args.mode == "spectrum":
-        if args.seed is None:
-            raise ValueError("spectrum mode needs --seed")
-        table = spectral_convergence(g, schedule, args.trials, args.j, args.seed,
-                                     workers=args.threads)
+        table = spectral_convergence(g, schedule, args.trials, args.j, args.seed)
     elif args.mode == "kvariance":
-        if args.seed is None:
-            raise ValueError("kvariance mode needs --seed")
         table = k_variance_convergence(g, schedule, args.trials, args.k, args.seed,
-                                       restarts=args.restarts, workers=args.threads)
+                                       restarts=args.restarts)
     else:
         table = subspace_convergence(g, schedule, args.k)
     with open(args.output, "w", encoding="utf-8", newline="") as fh:
@@ -352,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_con.add_argument("--k", type=int, default=2, help="cluster count (kvariance, blowup)")
     p_con.add_argument("--seed", type=int, default=None)
     p_con.add_argument("--restarts", type=int, default=20)
-    p_con.add_argument("--threads", type=int, default=1)
     p_con.add_argument("-o", "--output", required=True)
     p_con.set_defaults(func=cmd_converge)
     return parser

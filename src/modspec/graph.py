@@ -160,10 +160,9 @@ class WeightedGraph:
             return np.empty(0, dtype=np.intp)
         _, labels = self._components
         sizes = np.bincount(labels)
-        best_size = sizes.max()
-        candidates = np.flatnonzero(sizes == best_size)
-        first_seen = [int(np.argmax(labels == c)) for c in candidates]
-        chosen = candidates[int(np.argmin(first_seen))]
+        _, first_seen = np.unique(labels, return_index=True)
+        candidates = np.flatnonzero(sizes == sizes.max())
+        chosen = candidates[int(np.argmin(first_seen[candidates]))]
         return np.flatnonzero(labels == chosen).astype(np.intp)
 
     def induced_subgraph(self, indices) -> "WeightedGraph":

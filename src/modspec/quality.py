@@ -39,8 +39,8 @@ def normalized_cut_value(g: WeightedGraph, p: Partition) -> float:
     z = normalized_partition_vectors(g, p)
     y = np.sqrt(g.degrees)[:, None] * z
     inv = 1.0 / np.sqrt(g.degrees)
-    nmat = inv[:, None] * g.weights * inv[None, :]
-    return float(np.trace(y.T @ y) - np.trace(y.T @ nmat @ y))
+    ny = inv[:, None] * (g.weights @ (inv[:, None] * y))
+    return float(np.trace(y.T @ y) - np.trace(y.T @ ny))
 
 
 def relaxation_bounds(dec: SpectralDecomposition, k: int) -> tuple[float, float]:

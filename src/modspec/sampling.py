@@ -8,12 +8,10 @@ record the coverage fraction, and flag rows with coverage below 0.9 instead
 of dropping them.
 
 Per-trial seeds derive from (seed, m, trial) through numpy's SeedSequence,
-so trials are reproducible independently of execution order; tables are
-assembled in canonical (m, trial) order even when computed concurrently.
+so a trial's row does not depend on the rest of the schedule.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import math
@@ -103,13 +101,6 @@ def _check_schedule(g: WeightedGraph, schedule, trials: int) -> list[int]:
     return sched
 
 
-def _restricted_sample(g: WeightedGraph, m: int, child_seed: int):
-    draw = sample_subgraph(g, m, child_seed)
-    comp = draw.graph.largest_component()
-    coverage = comp.size / m if m else 0.0
-    return draw.graph.induced_subgraph(comp), coverage
-
-
 def _medians(rows, sched, values) -> tuple[dict, ...]:
     """Per-m median row: NaN-skipping medians of ``values``, coverage, flag count."""
     medians = []
@@ -132,52 +123,49 @@ def _reference(g: WeightedGraph, **values) -> dict:
             "dominant_flagged": int(ratio > DOMINANT_FLAG)}
 
 
-def _run_tasks(tasks, fn, workers: int):
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, tasks))
-    return [fn(t) for t in tasks]
+def _sampled_sweep(g: WeightedGraph, sched, trials: int, seed: int, mode: str,
+                   values: tuple[str, ...], measure, reference: dict) -> ConvergenceTable:
+    """Measure the largest component of every (m, trial) draw, in that order.
+
+    ``measure(sub, child_seed)`` returns one number per name in ``values``, or
+    None when the draw is too small to measure, which records NaN.
+    """
+    rows = []
+    for m in sched:
+        for trial in range(trials):
+            child = derive_trial_seed(seed, m, trial)
+            draw = sample_subgraph(g, m, child)
+            comp = draw.graph.largest_component()
+            coverage = comp.size / m
+            measured = measure(draw.graph.induced_subgraph(comp), child)
+            if measured is None:
+                measured = [math.nan] * len(values)
+            rows.append({"m": m, "trial": trial,
+                         **{col: float(v) for col, v in zip(values, measured)},
+                         "coverage": coverage, "flagged": int(coverage < COVERAGE_FLAG)})
+    columns = ("m", "trial", *values, "coverage", "flagged")
+    return ConvergenceTable(mode, columns, tuple(rows), _medians(rows, sched, values), reference)
 
 
-def spectral_convergence(g: WeightedGraph, schedule, trials: int, j: int, seed: int,
-                         *, diagnostic_full: bool = False, workers: int = 1,
-                         ) -> ConvergenceTable:
+def spectral_convergence(g: WeightedGraph, schedule, trials: int, j: int,
+                         seed: int) -> ConvergenceTable:
     """Top-j eigenvalue magnitudes of sampled subgraphs against the full graph."""
     if not g.is_connected():
         raise Disconnected("convergence experiments need a connected graph")
     sched = _check_schedule(g, schedule, trials)
     if j < 1 or j > min(sched) - 1:
         raise BadSize(f"j={j} outside [1, min(schedule)-1]")
-    ref = spectral_decomposition(g, leading=0)
-    ref_mus = ref.mus[:j]
+    ref_mus = spectral_decomposition(g, leading=0).mus[:j]
 
-    def run(task):
-        m, trial = task
-        child = derive_trial_seed(seed, m, trial)
-        if diagnostic_full and m == g.n:
-            sub, coverage = g, 1.0
-        else:
-            sub, coverage = _restricted_sample(g, m, child)
-        row = {"m": m, "trial": trial, "coverage": coverage,
-               "flagged": int(coverage < COVERAGE_FLAG)}
-        if sub.n > max(j, 1) and sub.total_volume > 0:
-            mus = spectral_decomposition(sub, leading=0).mus[:j]
-            for i in range(j):
-                row[f"mu_{i + 1}"] = float(mus[i])
-                row[f"err_{i + 1}"] = float(abs(mus[i] - ref_mus[i]))
-        else:
-            for i in range(j):
-                row[f"mu_{i + 1}"] = float("nan")
-                row[f"err_{i + 1}"] = float("nan")
-        return row
+    def measure(sub, child):
+        if sub.n <= j or sub.total_volume <= 0:
+            return None
+        mus = spectral_decomposition(sub, leading=0).mus[:j]
+        return (*mus, *np.abs(mus - ref_mus))
 
-    tasks = [(m, t) for m in sched for t in range(trials)]
-    rows = _run_tasks(tasks, run, workers)
     values = (*[f"mu_{i + 1}" for i in range(j)], *[f"err_{i + 1}" for i in range(j)])
-    columns = ("m", "trial", *values, "coverage", "flagged")
     reference = _reference(g, mus=[float(v) for v in ref_mus])
-    return ConvergenceTable("spectrum", columns, tuple(rows), _medians(rows, sched, values),
-                            reference)
+    return _sampled_sweep(g, sched, trials, seed, "spectrum", values, measure, reference)
 
 
 def subspace_convergence(g: WeightedGraph, factors, k: int) -> ConvergenceTable:
@@ -220,7 +208,7 @@ def subspace_convergence(g: WeightedGraph, factors, k: int) -> ConvergenceTable:
 
 
 def k_variance_convergence(g: WeightedGraph, schedule, trials: int, k: int, seed: int,
-                           *, restarts: int = 20, workers: int = 1) -> ConvergenceTable:
+                           *, restarts: int = 20) -> ConvergenceTable:
     """Clustering objective of sampled subgraphs against the full-graph value."""
     if not g.is_connected():
         raise Disconnected("convergence experiments need a connected graph")
@@ -231,27 +219,13 @@ def k_variance_convergence(g: WeightedGraph, schedule, trials: int, k: int, seed
     reps = representatives(dec, g, k)
     _, ref_value = weighted_kmeans(reps, k, restarts=restarts, seed=seed)
 
-    def run(task):
-        m, trial = task
-        child = derive_trial_seed(seed, m, trial)
-        sub, coverage = _restricted_sample(g, m, child)
-        row = {"m": m, "trial": trial, "coverage": coverage,
-               "flagged": int(coverage < COVERAGE_FLAG)}
-        if sub.n >= max(k, 2) and sub.total_volume > 0:
-            sdec = spectral_decomposition(sub, leading=k - 1)
-            sreps = representatives(sdec, sub, k)
-            _, value = weighted_kmeans(sreps, k, restarts=restarts, seed=child)
-            row["k_variance"] = float(value)
-            row["error"] = float(abs(value - ref_value))
-        else:
-            row["k_variance"] = float("nan")
-            row["error"] = float("nan")
-        return row
+    def measure(sub, child):
+        if sub.n < k or sub.total_volume <= 0:
+            return None
+        sreps = representatives(spectral_decomposition(sub, leading=k - 1), sub, k)
+        _, value = weighted_kmeans(sreps, k, restarts=restarts, seed=child)
+        return value, abs(value - ref_value)
 
-    tasks = [(m, t) for m in sched for t in range(trials)]
-    rows = _run_tasks(tasks, run, workers)
-    values = ("k_variance", "error")
-    columns = ("m", "trial", *values, "coverage", "flagged")
     reference = _reference(g, k=k, k_variance=float(ref_value))
-    return ConvergenceTable("kvariance", columns, tuple(rows), _medians(rows, sched, values),
-                            reference)
+    return _sampled_sweep(g, sched, trials, seed, "kvariance", ("k_variance", "error"),
+                          measure, reference)

@@ -141,6 +141,27 @@ def test_connectivity_and_largest_component():
     assert WeightedGraph(np.zeros((0, 0))).largest_component().size == 0
 
 
+def test_largest_component_tie_among_many_equal_components():
+    # vertex 0 is isolated and the rest pair up at random: 500 components tie
+    rng = np.random.default_rng(4)
+    n = 1001
+    pairs = rng.permutation(np.arange(1, n)).reshape(-1, 2)
+    w = np.zeros((n, n))
+    w[pairs[:, 0], pairs[:, 1]] = w[pairs[:, 1], pairs[:, 0]] = 1.0
+    g = WeightedGraph(w)
+    _, labels = g._components
+    # oracle: each tied candidate's first vertex, found by one scan per candidate
+    sizes = np.bincount(labels)
+    candidates = np.flatnonzero(sizes == sizes.max())
+    first_seen = [int(np.argmax(labels == c)) for c in candidates]
+    oracle = np.flatnonzero(labels == candidates[int(np.argmin(first_seen))])
+    chosen = g.largest_component()
+    assert chosen.tolist() == oracle.tolist()
+    # the tied pair holding the smallest vertex wins
+    assert chosen.tolist() == sorted(pairs[(pairs == 1).any(axis=1)][0].tolist())
+    assert labels[chosen[0]] != labels[0]
+
+
 def test_induced_subgraph_keeps_labels():
     g = triangle()
     sub = g.induced_subgraph([0, 2])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modspec import (
     BadK,
@@ -9,6 +11,7 @@ from modspec import (
     exhaustive_min_k_variance,
     modularity,
     normalized_cut_value,
+    normalized_partition_vectors,
     quality_report,
     relaxation_bounds,
     representatives,
@@ -66,6 +69,39 @@ def test_duality_identity_random():
         mv = modularity(g, p)
         qv = normalized_cut_value(g, p)
         assert abs(mv + qv - (p.k - 1)) <= 1e-10
+
+
+def dense_normalized_cut(g, p):
+    """The trace form over the dense matrix D^{-1/2} W D^{-1/2}, as an oracle."""
+    y = np.sqrt(g.degrees)[:, None] * normalized_partition_vectors(g, p)
+    inv = 1.0 / np.sqrt(g.degrees)
+    nmat = inv[:, None] * g.weights * inv[None, :]
+    return float(np.trace(y.T @ y) - np.trace(y.T @ nmat @ y))
+
+
+@st.composite
+def labeled_connected_graphs(draw):
+    """A connected weighted graph (random weights on a path backbone) and a
+    labeling into k clusters, every one of them nonempty."""
+    n = draw(st.integers(2, 14))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    w = rng.random((n, n)) * (rng.random((n, n)) < density)
+    w[np.arange(n - 1), np.arange(1, n)] = rng.random(n - 1) + 0.1
+    w = np.triu(w, k=1) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    g = WeightedGraph(w + w.T)
+    k = draw(st.integers(1, n))
+    labels = rng.permutation(np.concatenate([np.arange(k), rng.integers(0, k, n - k)]))
+    return g, Partition.from_labels(labels, k, g.degrees)
+
+
+@settings(max_examples=200)
+@given(labeled_connected_graphs())
+def test_duality_identity_property(case):
+    g, p = case
+    cut = normalized_cut_value(g, p)
+    assert abs(modularity(g, p) + cut - (p.k - 1)) <= 1e-10
+    assert abs(cut - dense_normalized_cut(g, p)) <= 1e-12
 
 
 def test_functionals_scale_invariant():

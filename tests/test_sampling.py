@@ -98,16 +98,17 @@ def test_spectral_convergence_table_shape():
             assert row["err_1"] >= 0.0
 
 
-def test_spectral_convergence_deterministic_and_order_free():
+@pytest.mark.parametrize("sweep", [
+    lambda g, schedule: spectral_convergence(g, schedule, 3, 1, seed=2),
+    lambda g, schedule: k_variance_convergence(g, schedule, 3, 2, seed=2, restarts=5),
+], ids=["spectrum", "kvariance"])
+def test_spectral_convergence_deterministic_and_order_free(sweep):
     g = planted_two_block()
-    t1 = spectral_convergence(g, (10, 15), 3, 1, seed=2)
-    t2 = spectral_convergence(g, (10, 15), 3, 1, seed=2)
+    t1 = sweep(g, (10, 15))
+    t2 = sweep(g, (10, 15))
     assert t1.rows == t2.rows
-    # threads only change scheduling, not results
-    t4 = spectral_convergence(g, (10, 15), 3, 1, seed=2, workers=4)
-    assert t1.rows == t4.rows
     # a trial's row depends only on (seed, m, trial), not on the schedule
-    t3 = spectral_convergence(g, (15,), 3, 1, seed=2)
+    t3 = sweep(g, (15,))
     assert [r for r in t1.rows if r["m"] == 15] == list(t3.rows)
 
 
@@ -130,15 +131,6 @@ def test_spectral_convergence_validation():
     w[2, 3] = w[3, 2] = 1.0
     with pytest.raises(Disconnected):
         spectral_convergence(WeightedGraph(w), (2,), 1, 1, seed=0)
-
-
-def test_spectral_convergence_diagnostic_full_row():
-    g = planted_two_block()
-    tab = spectral_convergence(g, (10, 60), 2, 1, seed=1, diagnostic_full=True)
-    full_rows = [r for r in tab.rows if r["m"] == 60]
-    for row in full_rows:
-        assert row["coverage"] == 1.0
-        assert row["err_1"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_subspace_convergence_first_distance_zero():
