@@ -102,50 +102,40 @@ def representatives(dec: SpectralDecomposition, g: WeightedGraph, k: int) -> Rep
     return Representatives(pts, g.degrees, k)
 
 
+def _centers(pts, w, labels, k) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted cluster means and cluster weights; a zero-weight cluster gets
+    the origin."""
+    wa = np.bincount(labels, weights=w, minlength=k)
+    live = wa > 0
+    centers = np.zeros((k, pts.shape[1]))
+    for c in range(pts.shape[1]):
+        centers[live, c] = np.bincount(labels, weights=w * pts[:, c], minlength=k)[live] / wa[live]
+    return centers, wa
+
+
+def _cost(pts, w, labels, k) -> float:
+    """sum_j w_j |p_j - c_{l_j}|^2 with c the weighted cluster means."""
+    centers, _ = _centers(pts, w, labels, k)
+    diff = pts - centers[labels]
+    return float(w @ (diff * diff).sum(axis=1))
+
+
 def k_variance(points, weights, partition: Partition) -> float:
     """Weighted within-cluster sum of squared distances to weighted centers.
 
-    Empty clusters contribute 0; a nonempty cluster whose total weight is 0
-    falls back to the unweighted mean (its contribution is then 0 anyway).
+    Empty clusters contribute 0, and so does a cluster whose total weight is 0.
     """
     pts = np.asarray(points, dtype=float)
     w = np.asarray(weights, dtype=float)
-    total = 0.0
-    for a in range(partition.k):
-        idx = partition.members(a)
-        if idx.size == 0:
-            continue
-        cw = w[idx]
-        wsum = cw.sum()
-        if wsum > 0:
-            center = cw @ pts[idx] / wsum
-        else:
-            center = pts[idx].mean(axis=0)
-        diff = pts[idx] - center
-        total += float(cw @ (diff * diff).sum(axis=1))
-    return total
-
-
-def _objective(pts, w, labels, k, total_wsq) -> float:
-    # identity: sum_j w_j|p_j|^2 - sum_a |m_a|^2 / W_a  with m_a the weighted block sums
-    wa = np.bincount(labels, weights=w, minlength=k)
-    sums = np.zeros((k, pts.shape[1]))
-    for c in range(pts.shape[1]):
-        sums[:, c] = np.bincount(labels, weights=w * pts[:, c], minlength=k)
-    live = wa > 0
-    return float(total_wsq - ((sums[live] ** 2).sum(axis=1) / wa[live]).sum())
+    return _cost(pts, w, partition.labels, partition.k)
 
 
 def _canonical_relabel(labels: np.ndarray, k: int) -> np.ndarray:
+    # number the clusters in order of first appearance
+    used, first = np.unique(labels, return_index=True)
     mapping = np.full(k, -1, dtype=np.intp)
-    nxt = 0
-    out = np.empty_like(labels)
-    for i, lab in enumerate(labels):
-        if mapping[lab] < 0:
-            mapping[lab] = nxt
-            nxt += 1
-        out[i] = mapping[lab]
-    return out
+    mapping[used[np.argsort(first)]] = np.arange(used.size)
+    return mapping[labels]
 
 
 def _seed_centers(pts, w, k, rng):
@@ -184,17 +174,12 @@ def _lloyd(pts, w, centers, max_iter):
             counts[a] = 1
         moved = not np.array_equal(new_labels, labels)
         labels = new_labels
-        new_centers = np.empty_like(centers)
-        for a in range(k):
-            idx = np.flatnonzero(labels == a)
-            cw = w[idx]
-            if cw.sum() > 0:
-                new_centers[a] = cw @ pts[idx] / cw.sum()
-            elif idx.size:
-                new_centers[a] = pts[idx].mean(axis=0)
-            else:
-                new_centers[a] = centers[a]
-        shift = np.abs(new_centers - centers).max() if k else 0.0
+        # the stealing above leaves every cluster nonempty, so only a cluster
+        # of zero weight needs a fallback: the plain mean of its members
+        new_centers, wa = _centers(pts, w, labels, k)
+        for a in np.flatnonzero(wa <= 0):
+            new_centers[a] = pts[labels == a].mean(axis=0)
+        shift = np.abs(new_centers - centers).max()
         centers = new_centers
         if not moved or shift < 1e-10:
             break
@@ -220,18 +205,18 @@ def weighted_kmeans(reps: Representatives, k: int, *, restarts: int = 20,
         labels = np.zeros(n, dtype=np.intp)
         part = Partition.from_labels(labels, 1, w)
         return part, k_variance(pts, w, part)
-    total_wsq = float(w @ (pts * pts).sum(axis=1))
     best_labels, best_val = None, np.inf
     for r in range(restarts):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, r])))
         centers = _seed_centers(pts, w, k, rng)
         labels = _lloyd(pts, w, centers, max_iter)
-        val = _objective(pts, w, labels, k, total_wsq)
+        val = _cost(pts, w, labels, k)
         if val < best_val - 1e-15:
             best_val, best_labels = val, labels
-    best_labels = _canonical_relabel(best_labels, k)
-    part = Partition.from_labels(best_labels, k, w)
-    return part, k_variance(pts, w, part)
+    # relabeling moves no point to another center, so best_val is the
+    # k-variance of the returned partition
+    part = Partition.from_labels(_canonical_relabel(best_labels, k), k, w)
+    return part, best_val
 
 
 def _label_arrays(n: int, kmax: int):
@@ -265,10 +250,9 @@ def exhaustive_min_k_variance(points, weights, k: int) -> tuple[Partition, float
         raise TooLarge(f"n={n} exceeds enumeration limit {EXHAUSTIVE_LIMIT}")
     if not 1 <= k <= n:
         raise BadK(f"k={k} outside [1, {n}]")
-    total_wsq = float(w @ (pts * pts).sum(axis=1))
     best_labels, best_val = None, np.inf
     for labels in _label_arrays(n, k):
-        val = _objective(pts, w, labels, k, total_wsq)
+        val = _cost(pts, w, labels, k)
         if val < best_val - 1e-15:
             best_val = val
             best_labels = labels.copy()

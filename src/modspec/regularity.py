@@ -222,8 +222,9 @@ def volume_regularity_alpha(g: WeightedGraph, cluster_a, cluster_b, *,
     and the single cluster volume within one.  Both modes maximize |x^T C y|
     over the centered block C = W_AB - rho d_A d_B^T.  Exact mode takes its
     cut norm with :func:`cut_norm_exact` (|A| + |B| <= 24); sampled mode
-    scans seeded random pairs and greedily refines each new running best,
-    which keeps the result monotone in the sample count for a fixed seed.
+    scans seeded random pairs and greedily refines each new running best.
+    Start t is row t of one seeded draw over A and B together, so for a
+    fixed seed more samples only append starts and never lower the result.
     """
     ai = vertex_subset(cluster_a, g.n)
     bi = vertex_subset(cluster_b, g.n)
@@ -245,9 +246,9 @@ def volume_regularity_alpha(g: WeightedGraph, cluster_a, cluster_b, *,
     if samples < 1 or seed is None:
         raise ValueError("sampled mode needs samples >= 1 and a seed")
     rng = np.random.Generator(np.random.PCG64(seed))
-    bx = rng.random((samples, ai.size)) < 0.5
-    by = rng.random((samples, bi.size)) < 0.5
-    discs = np.abs(np.einsum("ta,ab,tb->t", bx.astype(float), c, by.astype(float)))
+    bits = rng.random((samples, ai.size + bi.size)) < 0.5
+    bx, by = bits[:, :ai.size], bits[:, ai.size:]
+    discs = np.abs(((bx @ c) * by).sum(axis=1))
     best = 0.0
     best_x = np.zeros(ai.size, dtype=bool)
     best_y = np.zeros(bi.size, dtype=bool)
@@ -298,8 +299,14 @@ def regularity_certificate(g: WeightedGraph, dec: SpectralDecomposition,
     The bound sqrt(2 k) * s + eps uses s from the clustering objective of the
     supplied partition on the eigenvector embedding and eps equal to the k-th
     largest eigenvalue magnitude.  Constants from the underlying theory are
-    reported as measured ratios, never asserted.
+    reported as measured ratios, never asserted.  Pairs with |A| + |B| at
+    most ``exact_limit`` (0 to 24) are enumerated exactly; the others get
+    ``samples`` sampled starts, or are skipped when ``samples`` is 0.
     """
+    if not 0 <= exact_limit <= ENUM_LIMIT:
+        raise ValueError(f"exact_limit={exact_limit} outside [0, {ENUM_LIMIT}]")
+    if samples < 0:
+        raise ValueError(f"samples={samples} must be >= 0")
     if p.k != k:
         raise ValueError("partition cluster count must equal k")
     if p.n != g.n:
@@ -321,7 +328,7 @@ def regularity_certificate(g: WeightedGraph, dec: SpectralDecomposition,
             ia = p.members(a)
             ib = p.members(b)
             budget = ia.size + ib.size if a != b else 2 * ia.size
-            if budget <= min(exact_limit, ENUM_LIMIT):
+            if budget <= exact_limit:
                 alpha, (wx, wy) = volume_regularity_alpha(g, ia, ib)
                 method = "exact"
             elif samples > 0:

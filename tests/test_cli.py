@@ -126,6 +126,18 @@ def test_regularity_sampled_rerun_identical(block_tsv, capsys):
     assert {p["method"] for p in doc["regularity"]["pairs"]} == {"sampled"}
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("--exact-max", "25", "exact_limit=25 outside [0, 24]"),
+    ("--samples", "-1", "samples=-1 must be >= 0"),
+])
+def test_regularity_rejects_out_of_range_flags(block_tsv, capsys, flag, value, message):
+    code, out, err = run(capsys, "regularity", block_tsv, "--k", "2", "--seed", "1",
+                         flag, value)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_generate_classical_complete(tmp_path, capsys):
     path = tmp_path / "k3.tsv"
     code, out, err = run(capsys, "generate", "classical", "--name", "complete",

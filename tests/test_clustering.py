@@ -149,12 +149,29 @@ def test_kmeans_determinism_and_canonical_labels():
     p1, v1 = weighted_kmeans(reps, 3, seed=5)
     p2, v2 = weighted_kmeans(reps, 3, seed=5)
     assert np.array_equal(p1.labels, p2.labels) and v1 == v2
+    # the winning restart's score is the reported k-variance, bit for bit
+    assert v1 == k_variance(pts, np.ones(12), p1)
     # labels appear in first-use order
     first_seen = []
     for lab in p1.labels:
         if lab not in first_seen:
             first_seen.append(lab)
     assert first_seen == sorted(first_seen)
+
+
+def test_kmeans_translation_invariant():
+    # shifting every point moves no center relative to the points, so the
+    # partition and its cost stay put; an expanded sum-of-squares identity
+    # loses both to cancellation at a shift of 1e6
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        pts = rng.random((200, 2))
+        w = 0.5 + rng.random(200)
+        part, val = weighted_kmeans(Representatives(pts, w, 3), 3, seed=seed)
+        shifted, sval = weighted_kmeans(Representatives(pts + 1e6, w, 3), 3, seed=seed)
+        assert np.array_equal(shifted.labels, part.labels)
+        assert sval == pytest.approx(val, rel=1e-6)
+        assert sval == k_variance(pts + 1e6, w, shifted)
 
 
 def test_kmeans_edge_cases():

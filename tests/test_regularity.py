@@ -12,6 +12,7 @@ from modspec import (
     cut_norm_exact,
     cut_norm_exact_bilinear,
     expected_block_graph,
+    generalized_random_graph,
     mixing_discrepancy,
     regularity_certificate,
     sin_theta_check,
@@ -207,6 +208,17 @@ def test_alpha_sampled_bounded_by_exact_and_monotone():
         assert val >= prev - 1e-15
         prev = val
     assert prev > 0.0
+    # the same on 30+30 planted pairs, too large for the exact branch
+    model = BlockModel((30, 30), np.array([[0.3, 0.05], [0.05, 0.3]]))
+    pa, pb = list(range(30)), list(range(30, 60))
+    for seed in range(30):
+        planted = generalized_random_graph(model, seed)[0].normalize_volume()
+        for x, y in ((pa, pb), (pa, pa)):
+            prev = -1.0
+            for samples in (5, 20, 80, 320):
+                val, _ = volume_regularity_alpha(planted, x, y, samples=samples, seed=seed)
+                assert val >= prev - 1e-15
+                prev = val
     # the sampled witness reproduces alpha and no single-element flip of it
     # raises the discrepancy: it is a 1-flip local optimum
     for x, y in ((a, b), (a, a)):

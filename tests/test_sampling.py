@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from modspec import (
     spectral_convergence,
     subspace_convergence,
 )
+from modspec import sampling
 from modspec.generators import complete_graph, path_graph, two_cliques_bridge
 
 
@@ -146,6 +148,32 @@ def test_subspace_convergence_first_distance_zero():
     assert all(r["distance"] <= 1e-10 for r in tab.rows)
     assert tab.medians == ()
     assert tab.reference["gap"] > 0
+
+
+def test_subspace_convergence_distance_is_the_sine_of_the_tilt(monkeypatch):
+    # tilting the first blown-up eigenvector by theta toward the next one
+    # leaves principal angles (theta, 0) to the base subspace, so the
+    # projector distance is sin(theta) at every factor above 1
+    model = BlockModel((4, 4, 4), np.array([[0.6, 0.1, 0.1],
+                                            [0.1, 0.6, 0.1],
+                                            [0.1, 0.1, 0.6]]))
+    g = expected_block_graph(model)
+    theta = 0.5
+    real = sampling.spectral_decomposition
+
+    def tilted(gt, leading=None):
+        if gt.n == g.n:
+            return real(gt, leading=leading)
+        v = real(gt, leading=leading + 1).vectors
+        vecs = v[:, :leading].copy()
+        vecs[:, 0] = np.cos(theta) * v[:, 0] + np.sin(theta) * v[:, leading]
+        return SimpleNamespace(vectors=vecs)
+
+    monkeypatch.setattr(sampling, "spectral_decomposition", tilted)
+    tab = subspace_convergence(g, (1, 2, 4), 3)
+    assert tab.rows[0]["distance"] == 0.0
+    for row in tab.rows[1:]:
+        assert row["distance"] == pytest.approx(np.sin(theta), abs=1e-12)
 
 
 def test_subspace_convergence_validation():

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from modspec import (
+    BlockModel,
     Disconnected,
     EigenFailure,
     Partition,
@@ -11,6 +12,7 @@ from modspec import (
     ZeroDegree,
     dump_edge_list,
     eigendecompose,
+    generalized_random_graph,
     normalized_modularity,
     order_by_abs,
     representatives,
@@ -18,6 +20,7 @@ from modspec import (
     spectral_gap,
     structural_count,
     subspace_distance_sq,
+    weighted_kmeans,
 )
 from modspec import spectral
 from modspec.cli import main
@@ -298,6 +301,46 @@ def test_leading_columns_match_the_full_decomposition(g):
         if 0 < r < n and abs(full.mus[r - 1]) - abs(full.mus[r]) > 1e-6:
             ref = full.vectors[:, :r]
             assert np.abs(v @ v.T - ref @ ref.T).max() <= 1e-8
+
+
+@st.composite
+def planted_graphs(draw):
+    """Connected random block graphs with p_in >= 0.8 and p_out <= 0.05,
+    returned with their block count."""
+    sizes = draw(st.lists(st.integers(20, 40), min_size=2, max_size=4))
+    k = len(sizes)
+    probs = np.full((k, k), draw(st.floats(0.02, 0.05)))
+    np.fill_diagonal(probs, draw(st.floats(0.8, 1.0)))
+    g, _ = generalized_random_graph(BlockModel(tuple(sizes), probs),
+                                    draw(st.integers(0, 2**32 - 1)))
+    assume(g.is_connected())
+    return g, k
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(connected_graphs().map(lambda g: (g, None)), planted_graphs()),
+       st.integers(0, 2**32 - 1))
+def test_relabeling_vertices_permutes_the_results(graph_and_k, seed):
+    g, k = graph_and_k
+    n = g.n
+    perm = np.random.default_rng(seed).permutation(n)
+    moved = WeightedGraph(g.weights[np.ix_(perm, perm)])
+    dec, pdec = spectral_decomposition(g), spectral_decomposition(moved)
+    assert np.abs(pdec.lambdas - dec.lambdas).max() <= 1e-12
+    # a column is defined up to sign where its |mu| has a gap on both sides
+    mags = np.abs(dec.mus)
+    gaps = -np.diff(mags)
+    for i in range(n):
+        if (i > 0 and gaps[i - 1] <= 1e-6) or (i < n - 1 and gaps[i] <= 1e-6):
+            continue
+        u, v = dec.vectors[perm, i], pdec.vectors[:, i]
+        assert min(np.abs(u - v).max(), np.abs(u + v).max()) <= 1e-8
+    if k is not None:
+        part, _ = weighted_kmeans(representatives(dec, g, k), k, seed=seed)
+        ppart, _ = weighted_kmeans(representatives(pdec, moved, k), k, seed=seed)
+        # the same partition up to relabeling: the label pairs form a bijection
+        pairs = {(int(a), int(b)) for a, b in zip(part.labels[perm], ppart.labels)}
+        assert len(pairs) == len({a for a, _ in pairs}) == len({b for _, b in pairs})
 
 
 def test_leading_columns_on_tiny_matrices():
