@@ -99,13 +99,14 @@ def _input_block(path: str, raw: WeightedGraph, analyzed: WeightedGraph,
 
 
 def _spectrum_block(dec, eps_list, top) -> dict:
-    limit = dec.n if top is None else max(0, min(top, dec.n))
+    if top is not None and top < 0:
+        raise ValueError(f"top={top} must be >= 0")
     counts = {}
     for eps in eps_list or []:
         counts[format(float(eps), "g")] = structural_count(dec, float(eps))
     return {
-        "lambdas": [float(v) for v in dec.lambdas[:limit]],
-        "mus": [float(v) for v in dec.mus[:limit]],
+        "lambdas": [float(v) for v in dec.lambdas[:top]],
+        "mus": [float(v) for v in dec.mus[:top]],
         "spectral_gap": spectral_gap(dec),
         "structural_counts": counts,
     }

@@ -195,6 +195,8 @@ def weighted_kmeans(reps: Representatives, k: int, *, restarts: int = 20,
     iteration steal the point with the largest weighted cost.  Ties between
     restarts keep the earlier restart, so the result is seed-deterministic.
     """
+    if restarts < 1:
+        raise ValueError(f"restarts={restarts} must be >= 1")
     pts, w = reps.points, reps.weights
     n = pts.shape[0]
     if not 1 <= k <= n:

@@ -51,7 +51,8 @@ class TooLarge(ModspecError):
 
 
 class EigenFailure(ModspecError):
-    """The symmetric eigensolver failed to converge."""
+    """The symmetric eigensolver failed, or a computed eigenvector fails the
+    eigen-equation residual check."""
 
 
 class InternalNumericalError(ModspecError):

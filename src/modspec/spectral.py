@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from .errors import Disconnected, EigenFailure, ZeroDegree
 from .graph import WeightedGraph
@@ -96,9 +96,9 @@ class SpectralDecomposition:
     eigenvectors for the first ``vectors.shape[1]`` positions of the ``mus``
     order (all n unless fewer were asked for).  When the decomposition came
     from a graph, ``sqrt_degrees`` holds the unit vector of square-root
-    degrees; whenever zero eigenvalues are among the returned columns, the
-    zero eigenspace basis is rotated so that vector appears as the last
-    zero-eigenvalue column.
+    degrees, which was deflated before the solve: it is the last column of
+    the ``mus`` order, every other column is orthogonal to it, and
+    ``lambdas`` holds an exact 0.0 for it.
     """
 
     lambdas: np.ndarray
@@ -149,26 +149,62 @@ def _tridiagonal_vectors(d: np.ndarray, e: np.ndarray, top: int, bottom: int) ->
     return (blocks[0] if len(blocks) == 1 else np.hstack(blocks))[:, ::-1]
 
 
+def _solve(a: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecompose the symmetric C-ordered array ``a``, overwriting it.
+
+    Returns every eigenvalue in descending order and eigenvectors for the
+    first ``r`` positions of their :func:`order_by_abs` order.  ``a`` is
+    reduced to tridiagonal form once (``dsytrd``), its eigenvalues come from
+    ``dsterf``, and the requested eigenvectors from MRRR (``dstemr``) mapped
+    back by the stored reflectors (``dormqr``).  The largest magnitudes are
+    the top of the value order plus its bottom, so at most two index ranges
+    are solved.
+    """
+    n = a.shape[0]
+    if n <= 1:
+        # the f2py wrappers reject an empty matrix and an empty off-diagonal
+        return a.diagonal().copy(), np.eye(n)[:, :r]
+    # a.T is the Fortran-ordered view of the symmetric a
+    lwork, info = lapack.dsytrd_lwork(n, lower=1)
+    _lapack_info(info, "dsytrd_lwork")
+    c, d, e, tau, info = lapack.dsytrd(a.T, lower=1, lwork=int(lwork), overwrite_a=1)
+    _lapack_info(info, "dsytrd")
+    vals, info = lapack.dsterf(d, e)
+    _lapack_info(info, "dsterf")
+    lambdas = vals[::-1].copy()
+    _, idx = order_by_abs(lambdas)
+    # the first r mu positions hold the values of a prefix plus a suffix of
+    # the lambda order: the nonnegative ones are a prefix, the negative ones
+    # the most negative values.  Within an exact tie the mu order may name
+    # other ranks of the same value; the computed columns serve them.
+    ranks = np.sort(idx[:r])
+    top = int(np.count_nonzero(lambdas[ranks] >= -ZERO_TOL))
+    z = _tridiagonal_vectors(d, e, top, r - top)
+    if r:
+        # Q = diag(1, Q') with Q' the product of the reflectors below the subdiagonal
+        z[1:], _, info = lapack.dormqr("L", "N", c[1:, :n - 1], tau, z[1:], 64 * r)
+        _lapack_info(info, "dormqr")
+    # z holds the columns of `ranks` in order
+    return lambdas, z[:, np.searchsorted(ranks, idx[:r])]
+
+
 def eigendecompose(matrix: np.ndarray, sqrt_degrees: np.ndarray | None = None,
                    leading: int | None = None) -> SpectralDecomposition:
     """Eigendecompose a symmetric matrix into the two-ordering form.
 
     All eigenvalues are computed; eigenvectors only for the first
     ``leading`` positions of the absolute-value order (all n when None, at
-    most n).  The matrix is reduced to tridiagonal form once (``dsytrd``),
-    its eigenvalues come from ``dsterf``, and the requested eigenvectors
-    from MRRR (``dstemr``) mapped back by the stored reflectors
-    (``dormqr``).  The largest magnitudes are the top of the value order
-    plus its bottom, so at most two index ranges are solved.
+    most n), by one LAPACK tridiagonal reduction (see ``_solve``).
 
-    When ``sqrt_degrees`` is supplied, ``M q`` for its unit vector q must
-    vanish (residual at most RESIDUAL_TOL, scaled by the spectral norm when
-    that exceeds 1) and a numerical zero eigenvalue must exist, else
-    ValueError.  If the requested columns reach the zero eigenvalues, the
-    whole zero eigenspace is computed and re-based so that one basis vector
-    equals q exactly, placed last among the zero eigenvalues in the
-    absolute-value ordering.  Every returned column must satisfy the
-    eigen-equation within the same tolerance, else EigenFailure.
+    When ``sqrt_degrees`` is supplied, its unit vector q is taken as an
+    eigenvector of eigenvalue exactly 0: one Householder reflector P maps q
+    to the last coordinate, the leading (n-1) x (n-1) block of P M P (M on
+    the complement of q) is solved, and 0 joins its eigenvalues.  q is the
+    last column of the absolute-value order; every other column is
+    orthogonal to it.  ``M q`` must vanish (residual at most RESIDUAL_TOL,
+    scaled by the spectral norm when that exceeds 1), else ValueError.
+    Every returned column must satisfy the eigen-equation within the same
+    tolerance, else EigenFailure.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -183,86 +219,43 @@ def eigendecompose(matrix: np.ndarray, sqrt_degrees: np.ndarray | None = None,
     if leading is not None and leading < 0:
         raise ValueError("leading must be >= 0")
     r = n if leading is None else min(int(leading), n)
-    if n == 0:
-        empty = np.empty(0)
-        return SpectralDecomposition(empty, empty.copy(), np.empty(0, dtype=np.intp),
-                                     np.empty((0, 0)), None)
-    q_unit = None
-    if sqrt_degrees is not None:
+    q = None
+    if sqrt_degrees is None:
+        lambdas, vectors = _solve(m.copy(), r)
+    else:
         q = np.asarray(sqrt_degrees, dtype=float).ravel()
         if q.size != n:
             raise ValueError("sqrt_degrees length must match matrix size")
         norm = np.linalg.norm(q)
         if norm <= 0:
             raise ValueError("sqrt_degrees must be nonzero")
-        q_unit = q / norm
-
-    # m.T is the Fortran-ordered view of the symmetric m; dsytrd copies it
-    lwork, info = lapack.dsytrd_lwork(n, lower=1)
-    _lapack_info(info, "dsytrd_lwork")
-    c, d, e, tau, info = lapack.dsytrd(m.T, lower=1, lwork=int(lwork))
-    _lapack_info(info, "dsytrd")
-    if n == 1:
-        # the f2py wrapper of dsterf rejects an empty off-diagonal
-        vals = d.copy()
-    else:
-        vals, info = lapack.dsterf(d, e)
-        _lapack_info(info, "dsterf")
-    lambdas = vals[::-1].copy()
+        q = q / norm
+        # P = I - beta v v^T maps q to the last axis; P M P = M - v z^T - z v^T.
+        # einsum rather than numpy's BLAS: its threads keep spinning and
+        # slow the dsytrd that follows, which runs in scipy's BLAS pool
+        v = q.copy()
+        v[-1] += np.copysign(1.0, q[-1])
+        beta = 1.0 / (1.0 + abs(q[-1]))
+        w = beta * np.einsum("ij,j->i", m, v)
+        z = w - (0.5 * beta * np.einsum("i,i", v, w)) * v
+        block = m[:-1, :-1].copy()
+        if n > 1:  # the f2py wrapper rejects empty vectors
+            blas.dsyr2(-1.0, v[:-1], z[:-1], lower=1, a=block.T, overwrite_a=1)
+        vals, y = _solve(block, min(r, n - 1))
+        lambdas = np.insert(vals, np.searchsorted(-vals, 0.0), 0.0)
+        # P [y; 0] for the block's columns, then q in the last mu position
+        y = np.vstack([y, np.zeros(y.shape[1])])
+        vectors = np.column_stack([y - np.outer(beta * v, v @ y), q])[:, :r]
     mus, idx = order_by_abs(lambdas)
-    tol = RESIDUAL_TOL * max(1.0, float(np.abs(mus[0])))
-
-    zero_mask = np.abs(lambdas) <= ZERO_TOL
-    want = r
-    if q_unit is not None:
-        if np.linalg.norm(m @ q_unit) > tol:
-            raise ValueError("sqrt_degrees is not in the numerical null space")
-        if not zero_mask.any():
-            raise ValueError("matrix has no numerical zero eigenvalue to align with sqrt_degrees")
-        # zeros come last in the mu order: reaching one means every nonzero
-        # is requested, so widening to the whole zero block means all n
-        if r > n - np.count_nonzero(zero_mask):
-            want = n
-
-    # the first `want` mu positions hold the values of a prefix plus a suffix
-    # of the lambda order: the nonnegative ones are a prefix, the negative
-    # ones the most negative values.  Within an exact tie the mu order may
-    # name other ranks of the same value; the computed columns serve them.
-    ranks = np.sort(idx[:want])
-    top = int(np.count_nonzero(lambdas[ranks] >= -ZERO_TOL))
-    z = _tridiagonal_vectors(d, e, top, want - top)
-    if n > 1 and want:
-        # Q = diag(1, Q') with Q' the product of the reflectors below the subdiagonal
-        z[1:], _, info = lapack.dormqr("L", "N", c[1:, :n - 1], tau, z[1:], 64 * want)
-        _lapack_info(info, "dormqr")
-
-    if q_unit is not None and want == n:
-        zcols = np.flatnonzero(zero_mask)
-        if zcols.size == 1:
-            z[:, zcols[0]] = q_unit
-        else:
-            # rotate inside the eigenspace: express q in kernel coordinates,
-            # then any square orthonormal frame whose first column follows
-            # those coordinates has the rest spanning the complement of q;
-            # the zero ranks are the last positions of the mu order, in
-            # rank order, so q in the last zero rank goes last among them
-            zbasis = z[:, zcols]
-            coords = zbasis.T @ q_unit
-            frame, _ = np.linalg.qr(
-                np.column_stack([coords, np.eye(zcols.size)]))
-            if frame[:, 0] @ coords < 0:
-                frame = -frame
-            z[:, zcols[:-1]] = zbasis @ frame[:, 1:]
-            z[:, zcols[-1]] = q_unit
-
-    # z holds the columns of `ranks` in order
-    vectors = z[:, np.searchsorted(ranks, idx[:r])]
+    tol = RESIDUAL_TOL * np.abs(mus).max(initial=1.0)
+    if q is not None and np.linalg.norm(m @ q) > tol:
+        raise ValueError("sqrt_degrees is not in the numerical null space")
     _fix_signs(vectors)
     if r:
         resid = np.linalg.norm(m @ vectors - vectors * mus[:r], axis=0).max()
         if not resid <= tol:
             raise EigenFailure(f"eigen-equation residual {resid:.3e} exceeds {tol:.1e}")
-    return SpectralDecomposition(lambdas, mus, idx, vectors, q_unit)
+    return SpectralDecomposition(lambdas, mus, idx, vectors, q)
 
 
 def spectral_decomposition(g: WeightedGraph, leading: int | None = None) -> SpectralDecomposition:

@@ -126,16 +126,27 @@ def test_regularity_sampled_rerun_identical(block_tsv, capsys):
     assert {p["method"] for p in doc["regularity"]["pairs"]} == {"sampled"}
 
 
-@pytest.mark.parametrize("flag,value,message", [
-    ("--exact-max", "25", "exact_limit=25 outside [0, 24]"),
-    ("--samples", "-1", "samples=-1 must be >= 0"),
+@pytest.mark.parametrize("command,flag,value,message", [
+    ("regularity", "--exact-max", "25", "exact_limit=25 outside [0, 24]"),
+    ("regularity", "--samples", "-1", "samples=-1 must be >= 0"),
+    ("regularity", "--restarts", "0", "restarts=0 must be >= 1"),
+    ("cluster", "--restarts", "0", "restarts=0 must be >= 1"),
+    ("converge", "--restarts", "0", "restarts=0 must be >= 1"),
+    ("spectrum", "--top", "-3", "top=-3 must be >= 0"),
 ])
-def test_regularity_rejects_out_of_range_flags(block_tsv, capsys, flag, value, message):
-    code, out, err = run(capsys, "regularity", block_tsv, "--k", "2", "--seed", "1",
-                         flag, value)
+def test_out_of_range_flags_are_rejected(block_tsv, tmp_path, capsys, command, flag, value,
+                                         message):
+    required = {
+        "spectrum": [],
+        "cluster": ["--k", "2", "--seed", "1"],
+        "regularity": ["--k", "2", "--seed", "1"],
+        "converge": ["--mode", "kvariance", "--schedule", "8,16", "--trials", "2",
+                     "--k", "2", "--seed", "1", "-o", str(tmp_path / "x.csv")],
+    }[command]
+    code, out, err = run(capsys, command, block_tsv, *required, flag, value)
     assert code == 2
     assert out == ""
-    assert message in err
+    assert f"ValueError: {message}" in err
 
 
 def test_generate_classical_complete(tmp_path, capsys):

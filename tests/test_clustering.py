@@ -182,6 +182,8 @@ def test_kmeans_edge_cases():
         weighted_kmeans(reps, 5, seed=0)
     with pytest.raises(ZeroVolume):
         weighted_kmeans(Representatives(np.zeros((3, 1)), np.zeros(3), 2), 2, seed=0)
+    with pytest.raises(ValueError, match="restarts=0 must be >= 1"):
+        weighted_kmeans(reps, 2, restarts=0, seed=0)
     # k == n puts every point alone regardless of geometry
     rng = np.random.default_rng(11)
     pts = rng.random((5, 2))

@@ -161,6 +161,35 @@ def test_degenerate_kernel_still_ends_with_sqrt_degrees():
     assert np.allclose(dec.vectors.T @ dec.vectors, np.eye(6), atol=1e-8)
 
 
+def test_deflated_solve_computes_only_the_requested_columns(monkeypatch):
+    requested = []
+    real = spectral._tridiagonal_vectors
+
+    def recording(d, e, top, bottom):
+        requested.append(top + bottom)
+        return real(d, e, top, bottom)
+
+    monkeypatch.setattr(spectral, "_tridiagonal_vectors", recording)
+    # K_{3,4} has eigenvalue -1 once and 0 six times: the second column lies
+    # in the zero block, and the deflated block serves it without the rest
+    dec = spectral_decomposition(complete_bipartite(3, 4), leading=2)
+    assert requested == [2]
+    assert dec.vectors.shape == (7, 2)
+
+
+def test_deflation_of_one_vertex_and_of_a_negative_last_coordinate():
+    dec = eigendecompose(np.array([[0.0]]), sqrt_degrees=np.array([2.0]))
+    assert dec.lambdas.tolist() == [0.0] and dec.vectors.tolist() == [[1.0]]
+    # the reflector takes the sign of q's last coordinate; either sign of q
+    # gives the same values and, after the sign convention, the same columns
+    g = two_cliques_bridge(5)
+    m = normalized_modularity(g)
+    sq = np.sqrt(g.degrees / g.total_volume)
+    dec, flipped = eigendecompose(m, sqrt_degrees=sq), eigendecompose(m, sqrt_degrees=-sq)
+    assert np.abs(flipped.lambdas - dec.lambdas).max() <= 1e-14
+    assert np.abs(flipped.vectors - dec.vectors).max() <= 1e-10
+
+
 def test_eigendecompose_validation():
     with pytest.raises(ValueError):
         eigendecompose(np.zeros((2, 3)))
