@@ -117,6 +117,9 @@ def _trivial_partition(g: WeightedGraph) -> Partition:
 
 
 def _cluster_blocks(g: WeightedGraph, dec, k: int, seed: int, restarts: int):
+    # k = 1 never reaches weighted_kmeans, which checks this for k >= 2
+    if restarts < 1:
+        raise ValueError(f"restarts={restarts} must be >= 1")
     if k == 1:
         part = _trivial_partition(g)
         value = 0.0

@@ -125,28 +125,46 @@ def _tridiagonal_vectors(d: np.ndarray, e: np.ndarray, top: int, bottom: int) ->
     """Eigenvectors of the tridiagonal matrix for the ``top`` largest and the
     ``bottom`` smallest eigenvalues, as columns in descending-value order.
 
-    MRRR (``dstemr``) with RANGE='I' computes only the requested index
-    ranges; a request covering all n eigenvalues uses RANGE='A'.
+    A partial request is served by bisection (``dstebz``, RANGE='I') for the
+    values of each index range and one inverse-iteration call (``dstein``)
+    for both ranges, so only the n x (top + bottom) requested columns are
+    ever allocated; ``dstein`` reorthogonalizes the columns of close values.
+    A request for all n eigenvectors uses MRRR (``dstemr``, RANGE='A'),
+    which is much faster there.
     """
     n = d.size
-    # (RANGE, il, iu) with 1-based ascending indices; RANGE 0 is 'A', 2 is 'I'
-    ranges = [(0, 1, n)] if top + bottom == n else \
-        [(2, lo, hi) for lo, hi in ((1, bottom), (n - top + 1, n)) if hi >= lo]
-    blocks = []
-    for kind, il, iu in ranges:
+    if top + bottom == n:
         # dstemr overwrites its off-diagonal, which has length n (the last
-        # entry is workspace), so each call gets a fresh one; the wrapper's
-        # default workspace sizes are the ones LAPACK asks for
-        count, _, z, info = lapack.dstemr(d, np.append(e, 0.0), kind, 0.0, 1.0, il, iu)
+        # entry is workspace); the wrapper's default workspace sizes are the
+        # ones LAPACK asks for.  RANGE 0 is 'A'.
+        count, _, z, info = lapack.dstemr(d, np.append(e, 0.0), 0, 0.0, 1.0, 1, n)
         _lapack_info(info, "dstemr")
+        if count != n:
+            raise EigenFailure(f"dstemr returned {count} of {n} eigenvectors")
+        return z[:, ::-1]
+    values, blocks = [], []
+    # 1-based ascending index ranges; RANGE 2 is 'I', order 'B' groups the
+    # values by split-off block, as dstein needs them
+    for il, iu in ((1, bottom), (n - top + 1, n)):
+        if iu < il:
+            continue
+        count, w, iblock, isplit, info = lapack.dstebz(d, e, 2, 0.0, 0.0, il, iu, 0.0, "B")
+        _lapack_info(info, "dstebz")
         if count != iu - il + 1:
-            raise EigenFailure(f"dstemr returned {count} of {iu - il + 1} eigenvectors")
-        # dstemr's z is n x n whatever the range: keep only the filled columns
-        blocks.append(z if count == n else z[:, :count].copy())
-    if not blocks:
+            raise EigenFailure(f"dstebz returned {count} of {iu - il + 1} eigenvalues")
+        values.append(w[:count])
+        blocks.append(iblock[:count])
+    if not values:
         return np.empty((n, 0))
-    # ascending value order across the ranges, reversed to descending
-    return (blocks[0] if len(blocks) == 1 else np.hstack(blocks))[:, ::-1]
+    w, iblock = np.concatenate(values), np.concatenate(blocks)
+    # both ranges in one call: by block, ascending within each block
+    grouped = np.lexsort((w, iblock))
+    w = w[grouped]
+    # the wrapper wants iblock at its full length n
+    iblock = np.pad(iblock[grouped], (0, n - w.size))
+    z, info = lapack.dstein(d, e, w, iblock, isplit)
+    _lapack_info(info, "dstein")
+    return z[:, np.argsort(w, kind="stable")[::-1]]
 
 
 def _solve(a: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
@@ -155,10 +173,12 @@ def _solve(a: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     Returns every eigenvalue in descending order and eigenvectors for the
     first ``r`` positions of their :func:`order_by_abs` order.  ``a`` is
     reduced to tridiagonal form once (``dsytrd``), its eigenvalues come from
-    ``dsterf``, and the requested eigenvectors from MRRR (``dstemr``) mapped
-    back by the stored reflectors (``dormqr``).  The largest magnitudes are
-    the top of the value order plus its bottom, so at most two index ranges
-    are solved.
+    ``dsterf``, and the requested eigenvectors from
+    :func:`_tridiagonal_vectors`, mapped back by the reflectors that
+    ``dsytrd`` left in ``a``'s own buffer (``dormqr``).  The largest
+    magnitudes are the top of the value order plus its bottom, so at most
+    two index ranges are solved.  Besides ``a``, only n x r arrays are
+    allocated when r < n.
     """
     n = a.shape[0]
     if n <= 1:
@@ -181,8 +201,13 @@ def _solve(a: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     top = int(np.count_nonzero(lambdas[ranks] >= -ZERO_TOL))
     z = _tridiagonal_vectors(d, e, top, r - top)
     if r:
-        # Q = diag(1, Q') with Q' the product of the reflectors below the subdiagonal
-        z[1:], _, info = lapack.dormqr("L", "N", c[1:, :n - 1], tau, z[1:], 64 * r)
+        # Q = diag(1, Q') with Q' the product of the reflectors stored in
+        # c[1:, :n - 1].  That slice is not contiguous and f2py would copy
+        # it; the Fortran-ordered (n, n - 1) view of c's buffer from its
+        # second element holds it with leading dimension n instead (its
+        # last row, which dormqr never reads, is c[0, 1:])
+        reflectors = c.ravel(order="F")[1:1 + n * (n - 1)].reshape((n, n - 1), order="F")
+        z[1:], _, info = lapack.dormqr("L", "N", reflectors, tau, z[1:], 64 * r)
         _lapack_info(info, "dormqr")
     # z holds the columns of `ranks` in order
     return lambdas, z[:, np.searchsorted(ranks, idx[:r])]

@@ -131,6 +131,8 @@ def test_regularity_sampled_rerun_identical(block_tsv, capsys):
     ("regularity", "--samples", "-1", "samples=-1 must be >= 0"),
     ("regularity", "--restarts", "0", "restarts=0 must be >= 1"),
     ("cluster", "--restarts", "0", "restarts=0 must be >= 1"),
+    # k = 1 skips k-means, where the other commands check --restarts
+    ("cluster", "--k 1 --restarts", "0", "restarts=0 must be >= 1"),
     ("converge", "--restarts", "0", "restarts=0 must be >= 1"),
     ("spectrum", "--top", "-3", "top=-3 must be >= 0"),
 ])
@@ -143,7 +145,7 @@ def test_out_of_range_flags_are_rejected(block_tsv, tmp_path, capsys, command, f
         "converge": ["--mode", "kvariance", "--schedule", "8,16", "--trials", "2",
                      "--k", "2", "--seed", "1", "-o", str(tmp_path / "x.csv")],
     }[command]
-    code, out, err = run(capsys, command, block_tsv, *required, flag, value)
+    code, out, err = run(capsys, command, block_tsv, *required, *flag.split(), value)
     assert code == 2
     assert out == ""
     assert f"ValueError: {message}" in err

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -162,19 +164,35 @@ def test_degenerate_kernel_still_ends_with_sqrt_degrees():
 
 
 def test_deflated_solve_computes_only_the_requested_columns(monkeypatch):
-    requested = []
-    real = spectral._tridiagonal_vectors
+    requested, mrrr = [], []
+    real, real_dstemr = spectral._tridiagonal_vectors, spectral.lapack.dstemr
 
     def recording(d, e, top, bottom):
-        requested.append(top + bottom)
+        requested.append((top, bottom))
         return real(d, e, top, bottom)
 
+    def recording_dstemr(*args, **kwargs):
+        mrrr.append(args[0].size)
+        return real_dstemr(*args, **kwargs)
+
     monkeypatch.setattr(spectral, "_tridiagonal_vectors", recording)
+    monkeypatch.setattr(spectral.lapack, "dstemr", recording_dstemr)
     # K_{3,4} has eigenvalue -1 once and 0 six times: the second column lies
-    # in the zero block, and the deflated block serves it without the rest
-    dec = spectral_decomposition(complete_bipartite(3, 4), leading=2)
-    assert requested == [2]
-    assert dec.vectors.shape == (7, 2)
+    # in the zero block, and the deflated block serves it without the rest.
+    # Both ends of the value order are asked for, the top one inside the
+    # tied zeros, and inverse iteration serves them without MRRR
+    g = complete_bipartite(3, 4)
+    dec = spectral_decomposition(g, leading=2)
+    assert requested == [(1, 1)] and mrrr == []
+    v = dec.vectors
+    assert v.shape == (7, 2) and dec.mus[0] == pytest.approx(-1.0)
+    assert np.abs(v.T @ v - np.eye(2)).max() <= 1e-12
+    m = normalized_modularity(g)
+    assert np.linalg.norm(m @ v - v * dec.mus[:2], axis=0).max() <= 1e-12
+    assert np.abs(v.T @ dec.sqrt_degrees).max() <= 1e-12
+    # all n - 1 columns of the block are a full request, which MRRR serves
+    spectral_decomposition(g)
+    assert mrrr == [6]
 
 
 def test_deflation_of_one_vertex_and_of_a_negative_last_coordinate():
@@ -384,15 +402,19 @@ def test_leading_columns_on_tiny_matrices():
     # without sqrt_degrees a request may stop inside a zero block; values
     # within ZERO_TOL of zero, of either sign, are part of that block
     q, _ = np.linalg.qr(np.random.default_rng(7).standard_normal((6, 6)))
-    mat = q @ np.diag([0.5, 3e-11, 0.0, 0.0, -4e-11, -0.75]) @ q.T
-    mat = (mat + mat.T) / 2.0
-    full = eigendecompose(mat)
-    for r in range(7):
-        dec = eigendecompose(mat, leading=r)
-        assert dec.mu_to_lambda.tobytes() == full.mu_to_lambda.tobytes()
-        v = dec.vectors
-        assert np.abs(v.T @ v - np.eye(r)).max(initial=0.0) <= 1e-8
-        assert np.linalg.norm(mat @ v - v * dec.mus[:r], axis=0).max(initial=0.0) <= 1e-8
+    near_zero = q @ np.diag([0.5, 3e-11, 0.0, 0.0, -4e-11, -0.75]) @ q.T
+    # exact ties at both ends: +1 and -1 three times each, so r = 2 stops
+    # inside the tied top and r = 4, 5 add part of the tied bottom
+    pairs = np.kron(np.eye(3), [[0.0, 1.0], [1.0, 0.0]])
+    for mat in ((near_zero + near_zero.T) / 2.0, pairs):
+        full = eigendecompose(mat)
+        for r in range(7):
+            dec = eigendecompose(mat, leading=r)
+            assert dec.mu_to_lambda.tobytes() == full.mu_to_lambda.tobytes()
+            v = dec.vectors
+            assert np.abs(v.T @ v - np.eye(r)).max(initial=0.0) <= 1e-8
+            assert np.linalg.norm(mat @ v - v * dec.mus[:r], axis=0).max(initial=0.0) <= 1e-8
+    assert eigendecompose(pairs, leading=5).mus[:5].tolist() == [1.0] * 3 + [-1.0] * 2
     # more columns than exist gives all of them; fewer than none is an error
     assert eigendecompose(np.eye(2), leading=5).vectors.shape == (2, 2)
     with pytest.raises(ValueError):
@@ -474,3 +496,49 @@ def test_eigen_equation_residual_is_enforced(monkeypatch, tmp_path, capsys):
     assert "EigenFailure" in capsys.readouterr().err
     # a request for no vectors computes none, so nothing can be skewed
     assert spectral_decomposition(g, leading=0).vectors.shape == (10, 0)
+
+
+def test_partial_solver_failures_are_eigen_failures(monkeypatch, tmp_path, capsys):
+    g = two_cliques_bridge(5)
+    path = tmp_path / "bridge.tsv"
+    path.write_text(dump_edge_list(g))
+    real_dstebz, real_dstein = spectral.lapack.dstebz, spectral.lapack.dstein
+
+    def short_dstebz(*args):
+        count, *rest = real_dstebz(*args)
+        return (count - 1, *rest)
+
+    def failing_dstein(*args):
+        z, _ = real_dstein(*args)
+        return z, 1
+
+    for name, fake in (("dstebz", short_dstebz), ("dstein", failing_dstein)):
+        with monkeypatch.context() as patch:
+            patch.setattr(spectral.lapack, name, fake)
+            with pytest.raises(EigenFailure, match=name):
+                spectral_decomposition(g, leading=2)
+            assert main(["cluster", str(path), "--k", "3", "--seed", "0"]) == 3
+            assert "EigenFailure" in capsys.readouterr().err
+            # a full request is served by dstemr alone
+            assert spectral_decomposition(g).vectors.shape == (10, 10)
+
+
+def test_partial_solve_allocates_no_second_square_array():
+    # a partial request holds the deflated block and n x r columns; the
+    # bounds leave room for one (n - 1) x (n - 1) block and small vectors
+    # but not for another n x n array beside it
+    n = 900
+    g = random_connected(np.random.default_rng(11), n)
+    m = normalized_modularity(g)
+    square = n * n * 8
+    # spectral_decomposition forms M itself, so it holds one n x n more
+    for call, bound in ((lambda: eigendecompose(m, leading=2), 1.3 * square),
+                        (lambda: spectral_decomposition(g, leading=2), 2.3 * square)):
+        tracemalloc.start()
+        try:
+            dec = call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert dec.vectors.shape == (n, 2)
+        assert peak <= bound, f"peak {peak / square:.2f} n^2 doubles"
