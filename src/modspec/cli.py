@@ -103,7 +103,7 @@ def _spectrum_block(dec, eps_list, top) -> dict:
         raise ValueError(f"top={top} must be >= 0")
     counts = {}
     for eps in eps_list or []:
-        counts[format(float(eps), "g")] = structural_count(dec, float(eps))
+        counts[repr(float(eps))] = structural_count(dec, float(eps))
     return {
         "lambdas": [float(v) for v in dec.lambdas[:top]],
         "mus": [float(v) for v in dec.mus[:top]],

@@ -372,8 +372,7 @@ def sin_theta_check(a_mat, b_mat, a_interval, b_interval) -> tuple[float, float]
     if a.shape != b.shape:
         raise ValueError("matrices must share a shape")
     dec_a, dec_b = eigendecompose(a), eigendecompose(b)
-    va, ua = dec_a.mus, dec_a.vectors
-    vb, ub = dec_b.mus, dec_b.vectors
+    va, vb = dec_a.mus, dec_b.mus
     lo_a, hi_a = float(a_interval[0]), float(a_interval[1])
     lo_b, hi_b = float(b_interval[0]), float(b_interval[1])
     sel_a = (va >= lo_a) & (va <= hi_a)
@@ -383,8 +382,8 @@ def sin_theta_check(a_mat, b_mat, a_interval, b_interval) -> tuple[float, float]
     delta = float(np.abs(va[sel_a][:, None] - vb[sel_b][None, :]).min())
     if delta <= 0.0:
         raise NoSeparation("selected eigenvalue sets are not separated")
-    pa = ua[:, sel_a] @ ua[:, sel_a].T
-    pb = ub[:, sel_b] @ ub[:, sel_b].T
-    lhs = float(np.linalg.norm(pa @ pb, "fro"))
-    rhs = float(np.linalg.norm(pa @ (a - b) @ pb, "fro") / delta)
+    # |P_a X P_b|_F = |U_a^T X U_b|_F for orthonormal bases U: no projector
+    ua, ub = dec_a.vectors[:, sel_a], dec_b.vectors[:, sel_b]
+    lhs = float(np.linalg.norm(ua.T @ ub, "fro"))
+    rhs = float(np.linalg.norm(ua.T @ (a - b) @ ub, "fro") / delta)
     return lhs, rhs

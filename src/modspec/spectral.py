@@ -1,20 +1,18 @@
 """Normalized modularity matrix and its symmetric eigendecomposition.
 
-The matrix for a connected graph with positive degrees is
+For a connected graph with positive degrees d the matrix is
 
-    M = D^{-1/2} W D^{-1/2} - sqrt(d) sqrt(d)^T
+    M = N - q q^T,   N = D^{-1/2} W D^{-1/2},   q = sqrt(d) / |sqrt(d)|,
 
-with the degrees d of the volume-normalized graph, so its spectrum lies in
-[-1, 1], 0 is always an eigenvalue with eigenvector sqrt(d), and the whole
-spectrum is invariant under rescaling all weights by a positive constant.
+so its spectrum lies in [-1, 1], 0 is always an eigenvalue with eigenvector
+q, and the whole spectrum is invariant under rescaling all weights by a
+positive constant.  The graph path deflates q and never forms M.
 
 Every eigenvalue is always computed; eigenvectors only for as many leading
-positions of the absolute-value order as the caller asks for.
-
-Two orderings of the spectrum are kept side by side: by descending value
-(``lambdas``) and by descending absolute value (``mus``), linked by an index
-map.  Magnitudes at or below ZERO_TOL are treated as exact zeros when
-ordering and counting.
+positions of the absolute-value order as the caller asks for.  Two orderings
+are kept side by side: by descending value (``lambdas``) and by descending
+absolute value (``mus``), linked by an index map.  Magnitudes at or below
+ZERO_TOL are treated as exact zeros when ordering and counting.
 """
 from __future__ import annotations
 
@@ -33,14 +31,12 @@ ZERO_TOL = 1e-10
 RESIDUAL_TOL = 1e-8
 
 
-def normalized_modularity(g: WeightedGraph) -> np.ndarray:
-    """Normalized modularity matrix of a connected graph with positive degrees.
+def _normalized(g: WeightedGraph, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Check that g is connected with positive degrees; return the leading
+    ``size`` x ``size`` block of N, q and 1/sqrt(d).
 
-    Entry (i, j) is ``w_ij / sqrt(d_i d_j) - sqrt(d_i d_j) / Vol`` for the
-    raw degrees d, so callers may pass weights at any scale.  Weights and
-    degrees are first scaled by one power of two, which is exact and keeps
-    the degree products finite.  Both terms are symmetric products, so the
-    result is exactly symmetric.
+    Block entries are w_ij / sqrt(d_i d_j), with d scaled by one power of
+    two, which is exact and keeps the products finite; it is exactly symmetric.
     """
     if g.n == 0:
         raise ZeroDegree("empty graph has no modularity matrix")
@@ -50,13 +46,20 @@ def normalized_modularity(g: WeightedGraph) -> np.ndarray:
         raise Disconnected("normalized modularity needs a connected graph")
     scale = 2.0 ** -int(np.frexp(g.degrees.max())[1])
     deg = g.degrees * scale
-    # the one n x n temporary: sqrt(d_i d_j), later divided by the volume
-    root = np.outer(deg, deg)
-    np.sqrt(root, out=root)
-    m = g.weights * scale
-    m /= root
-    root /= g.total_volume * scale
-    m -= root
+    block = np.outer(deg[:size], deg[:size])
+    np.sqrt(block, out=block)
+    np.divide(g.weights[:size, :size], block, out=block)
+    block *= scale
+    q = np.sqrt(g.degrees / g.total_volume)
+    q /= np.linalg.norm(q)
+    return block, q, 1.0 / np.sqrt(g.degrees)
+
+
+def normalized_modularity(g: WeightedGraph) -> np.ndarray:
+    """M = N - q q^T of a connected graph with positive degrees, exactly
+    symmetric; :func:`spectral_decomposition` never forms it."""
+    m, q, _ = _normalized(g, g.n)
+    m -= np.outer(q, q)
     return m
 
 
@@ -95,10 +98,10 @@ class SpectralDecomposition:
     position to its rank in ``lambdas``.  ``vectors`` holds orthonormal
     eigenvectors for the first ``vectors.shape[1]`` positions of the ``mus``
     order (all n unless fewer were asked for).  When the decomposition came
-    from a graph, ``sqrt_degrees`` holds the unit vector of square-root
-    degrees, which was deflated before the solve: it is the last column of
-    the ``mus`` order, every other column is orthogonal to it, and
-    ``lambdas`` holds an exact 0.0 for it.
+    from a graph, ``sqrt_degrees`` holds the unit vector q of square-root
+    degrees, which was deflated before the solve: its exact 0.0 is the last
+    position of the ``mus`` order, after every value snapped to zero, so q
+    is the last column and every other column is orthogonal to it.
     """
 
     lambdas: np.ndarray
@@ -167,11 +170,11 @@ def _tridiagonal_vectors(d: np.ndarray, e: np.ndarray, top: int, bottom: int) ->
     return z[:, np.argsort(w, kind="stable")[::-1]]
 
 
-def _solve(a: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+def _solve(a: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigendecompose the symmetric C-ordered array ``a``, overwriting it.
 
-    Returns every eigenvalue in descending order and eigenvectors for the
-    first ``r`` positions of their :func:`order_by_abs` order.  ``a`` is
+    Returns every eigenvalue in descending order, their :func:`order_by_abs`
+    index, and eigenvectors for its first ``r`` positions.  ``a`` is
     reduced to tridiagonal form once (``dsytrd``), its eigenvalues come from
     ``dsterf``, and the requested eigenvectors from
     :func:`_tridiagonal_vectors`, mapped back by the reflectors that
@@ -183,7 +186,7 @@ def _solve(a: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     n = a.shape[0]
     if n <= 1:
         # the f2py wrappers reject an empty matrix and an empty off-diagonal
-        return a.diagonal().copy(), np.eye(n)[:, :r]
+        return a.diagonal().copy(), np.arange(n), np.eye(n)[:, :r]
     # a.T is the Fortran-ordered view of the symmetric a
     lwork, info = lapack.dsytrd_lwork(n, lower=1)
     _lapack_info(info, "dsytrd_lwork")
@@ -210,26 +213,37 @@ def _solve(a: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
         z[1:], _, info = lapack.dormqr("L", "N", reflectors, tau, z[1:], 64 * r)
         _lapack_info(info, "dormqr")
     # z holds the columns of `ranks` in order
-    return lambdas, z[:, np.searchsorted(ranks, idx[:r])]
+    return lambdas, idx, z[:, np.searchsorted(ranks, idx[:r])]
 
 
-def eigendecompose(matrix: np.ndarray, sqrt_degrees: np.ndarray | None = None,
-                   leading: int | None = None) -> SpectralDecomposition:
+def _column_count(leading: int | None, n: int) -> int:
+    if leading is not None and leading < 0:
+        raise ValueError("leading must be >= 0")
+    return n if leading is None else min(int(leading), n)
+
+
+def _checked(lambdas, idx, vectors, q, apply) -> SpectralDecomposition:
+    """Fix the column signs and enforce, through ``apply`` (x -> A x), that
+    A q (if q is given) and every column's eigen-equation residual are at
+    most RESIDUAL_TOL times max(1, spectral norm), else EigenFailure."""
+    mus = lambdas[idx]
+    tol = RESIDUAL_TOL * np.abs(mus).max(initial=1.0)
+    _fix_signs(vectors)
+    checks = [] if q is None else [("null-vector", q[:, None], 0.0)]
+    for name, x, mu in checks + [("eigen-equation", vectors, mus[:vectors.shape[1]])]:
+        resid = np.linalg.norm(apply(x) - x * mu, axis=0).max(initial=0.0)
+        if not resid <= tol:
+            raise EigenFailure(f"{name} residual {resid:.3e} exceeds {tol:.1e}")
+    return SpectralDecomposition(lambdas, mus, idx, vectors, q)
+
+
+def eigendecompose(matrix: np.ndarray, leading: int | None = None) -> SpectralDecomposition:
     """Eigendecompose a symmetric matrix into the two-ordering form.
 
     All eigenvalues are computed; eigenvectors only for the first
     ``leading`` positions of the absolute-value order (all n when None, at
-    most n), by one LAPACK tridiagonal reduction (see ``_solve``).
-
-    When ``sqrt_degrees`` is supplied, its unit vector q is taken as an
-    eigenvector of eigenvalue exactly 0: one Householder reflector P maps q
-    to the last coordinate, the leading (n-1) x (n-1) block of P M P (M on
-    the complement of q) is solved, and 0 joins its eigenvalues.  q is the
-    last column of the absolute-value order; every other column is
-    orthogonal to it.  ``M q`` must vanish (residual at most RESIDUAL_TOL,
-    scaled by the spectral norm when that exceeds 1), else ValueError.
-    Every returned column must satisfy the eigen-equation within the same
-    tolerance, else EigenFailure.
+    most n), by one LAPACK tridiagonal reduction (see ``_solve``), with
+    their eigen-equation residuals enforced (see ``_checked``).
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -240,68 +254,53 @@ def eigendecompose(matrix: np.ndarray, sqrt_degrees: np.ndarray | None = None,
         m = (m + m.T) / 2.0
     if not np.isfinite(m).all():
         raise ValueError("matrix must be finite")
-    n = m.shape[0]
-    if leading is not None and leading < 0:
-        raise ValueError("leading must be >= 0")
-    r = n if leading is None else min(int(leading), n)
-    q = None
-    if sqrt_degrees is None:
-        lambdas, vectors = _solve(m.copy(), r)
-    else:
-        q = np.asarray(sqrt_degrees, dtype=float).ravel()
-        if q.size != n:
-            raise ValueError("sqrt_degrees length must match matrix size")
-        norm = np.linalg.norm(q)
-        if norm <= 0:
-            raise ValueError("sqrt_degrees must be nonzero")
-        q = q / norm
-        # P = I - beta v v^T maps q to the last axis; P M P = M - v z^T - z v^T.
-        # einsum rather than numpy's BLAS: its threads keep spinning and
-        # slow the dsytrd that follows, which runs in scipy's BLAS pool
-        v = q.copy()
-        v[-1] += np.copysign(1.0, q[-1])
-        beta = 1.0 / (1.0 + abs(q[-1]))
-        w = beta * np.einsum("ij,j->i", m, v)
-        z = w - (0.5 * beta * np.einsum("i,i", v, w)) * v
-        block = m[:-1, :-1].copy()
-        if n > 1:  # the f2py wrapper rejects empty vectors
-            blas.dsyr2(-1.0, v[:-1], z[:-1], lower=1, a=block.T, overwrite_a=1)
-        vals, y = _solve(block, min(r, n - 1))
-        lambdas = np.insert(vals, np.searchsorted(-vals, 0.0), 0.0)
-        # P [y; 0] for the block's columns, then q in the last mu position
-        y = np.vstack([y, np.zeros(y.shape[1])])
-        vectors = np.column_stack([y - np.outer(beta * v, v @ y), q])[:, :r]
-    mus, idx = order_by_abs(lambdas)
-    tol = RESIDUAL_TOL * np.abs(mus).max(initial=1.0)
-    if q is not None and np.linalg.norm(m @ q) > tol:
-        raise ValueError("sqrt_degrees is not in the numerical null space")
-    _fix_signs(vectors)
-    if r:
-        resid = np.linalg.norm(m @ vectors - vectors * mus[:r], axis=0).max()
-        if not resid <= tol:
-            raise EigenFailure(f"eigen-equation residual {resid:.3e} exceeds {tol:.1e}")
-    return SpectralDecomposition(lambdas, mus, idx, vectors, q)
+    lambdas, idx, vectors = _solve(m.copy(), _column_count(leading, m.shape[0]))
+    return _checked(lambdas, idx, vectors, None, m.__matmul__)
 
 
 def spectral_decomposition(g: WeightedGraph, leading: int | None = None) -> SpectralDecomposition:
-    """Eigendecompose the normalized modularity matrix of a graph.
+    """Eigendecompose M = N - q q^T of a graph without forming it.
 
     ``leading`` limits the eigenvectors to the first positions of the
     absolute-value order, as in :func:`eigendecompose`; all eigenvalues are
-    always returned.
+    always returned.  q > 0 and N q = q, so the reflector P = I - beta v v^T
+    with v = q + e_n maps q to -e_n and P M P = diag(B, 0), B the leading
+    (n-1) x (n-1) block of P N P.  B is solved by ``_solve`` and 0 joins its
+    eigenvalues as the last position of the absolute-value order.  Both
+    residuals are checked through x -> N x - q (q^T x) from the weights.
     """
-    m = normalized_modularity(g)
-    sq = np.sqrt(g.degrees / g.total_volume)
-    return eigendecompose(m, sqrt_degrees=sq, leading=leading)
+    n = g.n
+    r = _column_count(leading, n)
+    block, q, inv_root = _normalized(g, n - 1)
+    v = np.append(q[:-1], q[-1] + 1.0)
+    beta = 1.0 / v[-1]
+    # w = beta N v = beta (q + N e_n) from W's last column; then
+    # P N P = N - v z^T - z v^T
+    w = beta * (q + g.weights[:, -1] * inv_root * inv_root[-1])
+    z = w - (0.5 * beta * (v @ w)) * v
+    blas.dsyr2(-1.0, v[:-1], z[:-1], lower=1, a=block.T, overwrite_a=1)
+    rb = min(r, n - 1)
+    vals, idx, y = _solve(block, rb)
+    # q's 0 sits before the block's values <= 0 and after every other value
+    # in the magnitude order
+    rank = int(np.searchsorted(-vals, 0.0))
+    lambdas = np.insert(vals, rank, 0.0)
+    idx = np.append(idx + (idx >= rank), rank)
+    # P [y; 0] for the block's columns, then q
+    vectors = np.empty((n, r))
+    np.outer(-beta * v, q[:-1] @ y, out=vectors[:, :rb])
+    vectors[:-1, :rb] += y
+    vectors[:, rb:] = q[:, None]
+    s = inv_root[:, None]
+    return _checked(lambdas, idx, vectors, q,
+                    lambda x: s * (g.weights @ (s * x)) - np.outer(q, q @ x))
 
 
 def structural_count(dec: SpectralDecomposition, eps: float) -> int:
     """Number of eigenvalues with |value| above eps, zeros snapped first."""
     if not 0.0 <= eps < 1.0:
         raise ValueError("eps must lie in [0, 1)")
-    mags = np.abs(dec.mus)
-    mags = np.where(mags <= ZERO_TOL, 0.0, mags)
-    return int(np.sum(mags > eps))
+    return int(np.sum(np.abs(dec.mus) > max(eps, ZERO_TOL)))
 
 
 def spectral_gap(dec: SpectralDecomposition) -> float:

@@ -33,7 +33,7 @@ def block_tsv(tmp_path, capsys):
 
 def test_spectrum_report_structure(bridge_tsv, capsys):
     code, out, err = run(capsys, "spectrum", bridge_tsv, "--eps", "0.3",
-                         "--eps", "0.5", "--top", "4")
+                         "--eps", "0.3000001", "--eps", "0.5", "--top", "4")
     assert code == 0
     doc = json.loads(out)
     assert list(doc) == ["input", "spectrum"]
@@ -42,7 +42,7 @@ def test_spectrum_report_structure(bridge_tsv, capsys):
     assert doc["input"]["analyzed_n"] == 10
     assert len(doc["spectrum"]["lambdas"]) == 4
     assert len(doc["spectrum"]["mus"]) == 4
-    assert doc["spectrum"]["structural_counts"] == {"0.3": 2, "0.5": 1}
+    assert doc["spectrum"]["structural_counts"] == {"0.3": 2, "0.3000001": 2, "0.5": 1}
     assert doc["spectrum"]["mus"][0] == pytest.approx(0.9273994175349938, abs=1e-9)
 
 

@@ -195,31 +195,11 @@ def test_deflated_solve_computes_only_the_requested_columns(monkeypatch):
     assert mrrr == [6]
 
 
-def test_deflation_of_one_vertex_and_of_a_negative_last_coordinate():
-    dec = eigendecompose(np.array([[0.0]]), sqrt_degrees=np.array([2.0]))
-    assert dec.lambdas.tolist() == [0.0] and dec.vectors.tolist() == [[1.0]]
-    # the reflector takes the sign of q's last coordinate; either sign of q
-    # gives the same values and, after the sign convention, the same columns
-    g = two_cliques_bridge(5)
-    m = normalized_modularity(g)
-    sq = np.sqrt(g.degrees / g.total_volume)
-    dec, flipped = eigendecompose(m, sqrt_degrees=sq), eigendecompose(m, sqrt_degrees=-sq)
-    assert np.abs(flipped.lambdas - dec.lambdas).max() <= 1e-14
-    assert np.abs(flipped.vectors - dec.vectors).max() <= 1e-10
-
-
 def test_eigendecompose_validation():
     with pytest.raises(ValueError):
         eigendecompose(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         eigendecompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(ValueError):
-        eigendecompose(np.eye(3), sqrt_degrees=np.ones(2))
-    with pytest.raises(ValueError):
-        eigendecompose(np.eye(3), sqrt_degrees=np.zeros(3))
-    # identity has no zero eigenvalue to align with
-    with pytest.raises(ValueError):
-        eigendecompose(np.eye(3), sqrt_degrees=np.ones(3))
     nan_mat = np.full((3, 3), np.nan)
     with pytest.raises((EigenFailure, ValueError)):
         eigendecompose(nan_mat)
@@ -247,38 +227,34 @@ def test_eigendecompose_leaves_its_argument_alone():
     rng = np.random.default_rng(5)
     g = random_connected(rng, 9)
     m = normalized_modularity(g)
-    sq = np.sqrt(g.degrees / g.total_volume)
-    before, sq_before = m.tobytes(), sq.tobytes()
-    dec = eigendecompose(m, sqrt_degrees=sq)
-    assert m.tobytes() == before and sq.tobytes() == sq_before
+    before = m.tobytes()
+    dec = eigendecompose(m)
+    assert m.tobytes() == before
     assert not np.shares_memory(dec.vectors, m)
     # only nearly symmetric: symmetrized for the solver, argument untouched
     near = m.copy()
     near[0, 1] += 1e-14
     near_before = near.tobytes()
-    dec_near = eigendecompose(near, sqrt_degrees=sq)
+    dec_near = eigendecompose(near)
     assert near.tobytes() == near_before
     assert not np.shares_memory(dec_near.vectors, near)
     assert np.allclose(dec_near.lambdas, dec.lambdas, atol=1e-12)
     # a second call on the same input gives the same bytes
-    again = eigendecompose(m, sqrt_degrees=sq)
+    again = eigendecompose(m)
     assert again.vectors.tobytes() == dec.vectors.tobytes()
     assert again.lambdas.tobytes() == dec.lambdas.tobytes()
 
 
 def test_sign_fix_does_not_alias_caller_data():
     g = complete_bipartite(3, 3)
-    m = normalized_modularity(g)
-    sq = np.sqrt(g.degrees / g.total_volume)
-    dec = eigendecompose(m, sqrt_degrees=sq)
-    for other in (m, sq, dec.lambdas, dec.mus, dec.sqrt_degrees):
+    dec = spectral_decomposition(g)
+    for other in (g.weights, g.degrees, dec.lambdas, dec.mus, dec.sqrt_degrees):
         assert not np.shares_memory(dec.vectors, other)
     kept = dec.sqrt_degrees.copy()
     dec.vectors[:] = 0.0
     assert np.array_equal(dec.sqrt_degrees, kept)
-    assert np.array_equal(normalized_modularity(g), m)
     # every column's largest-magnitude coordinate (first on ties) is positive
-    fresh = eigendecompose(m, sqrt_degrees=sq).vectors
+    fresh = spectral_decomposition(g).vectors
     lead = np.argmax(np.abs(fresh), axis=0)
     assert (fresh[lead, np.arange(fresh.shape[1])] > 0).all()
 
@@ -328,6 +304,9 @@ def test_leading_columns_match_the_full_decomposition(g):
     m = normalized_modularity(g)
     sq = np.sqrt(g.degrees / g.total_volume)
     full = spectral_decomposition(g)
+    # q's exact 0 is the last |mu|, after any roundoff snapped to zero
+    assert full.mus[-1] == 0.0
+    assert full.lambdas[full.mu_to_lambda[-1]] == 0.0
     for r in range(n + 1):
         dec = spectral_decomposition(g, leading=r)
         assert dec.lambdas.tobytes() == full.lambdas.tobytes()
@@ -456,16 +435,14 @@ def test_fewer_columns_than_k_minus_one_are_rejected():
 def test_null_vector_residual_is_enforced():
     rng = np.random.default_rng(6)
     g = random_connected(rng, 9)
-    m = normalized_modularity(g)
-    sq = np.sqrt(g.degrees / g.total_volume)
-    # almost the null vector: far inside the zero eigenspace by angle, but
-    # M q is about 1e-6, above the residual tolerance
-    off = sq + 1e-6 * rng.standard_normal(9)
-    assert np.linalg.norm(m @ (off / np.linalg.norm(off))) > 1e-8
-    with pytest.raises(ValueError):
-        eigendecompose(m, sqrt_degrees=off)
-    with pytest.raises(ValueError):
-        eigendecompose(m, sqrt_degrees=off, leading=0)
+    # degrees 1e-6 off the weights' row sums: q is almost the null vector
+    # by angle, but N q - q is about 1e-6, above the residual tolerance
+    off = g.degrees * (1.0 + 1e-6 * rng.standard_normal(9))
+    object.__setattr__(g, "degrees", off)
+    with pytest.raises(EigenFailure, match="null-vector"):
+        spectral_decomposition(g)
+    with pytest.raises(EigenFailure, match="null-vector"):
+        spectral_decomposition(g, leading=0)
     # a symmetric matrix with an infinite entry is rejected
     with pytest.raises(ValueError):
         eigendecompose(np.array([[np.inf, 0.0], [0.0, 1.0]]))
@@ -523,6 +500,22 @@ def test_partial_solver_failures_are_eigen_failures(monkeypatch, tmp_path, capsy
             assert spectral_decomposition(g).vectors.shape == (10, 10)
 
 
+def test_graph_path_never_forms_the_modularity_matrix(monkeypatch, tmp_path):
+    g = two_cliques_bridge(5)
+    path = tmp_path / "bridge.tsv"
+    path.write_text(dump_edge_list(g))
+    expected = spectral_decomposition(g)
+
+    def refuse(_):
+        raise AssertionError("normalized_modularity called")
+
+    monkeypatch.setattr(spectral, "normalized_modularity", refuse)
+    dec = spectral_decomposition(g)
+    assert dec.lambdas.tobytes() == expected.lambdas.tobytes()
+    assert dec.vectors.tobytes() == expected.vectors.tobytes()
+    assert main(["cluster", str(path), "--k", "2", "--seed", "0"]) == 0
+
+
 def test_partial_solve_allocates_no_second_square_array():
     # a partial request holds the deflated block and n x r columns; the
     # bounds leave room for one (n - 1) x (n - 1) block and small vectors
@@ -531,9 +524,9 @@ def test_partial_solve_allocates_no_second_square_array():
     g = random_connected(np.random.default_rng(11), n)
     m = normalized_modularity(g)
     square = n * n * 8
-    # spectral_decomposition forms M itself, so it holds one n x n more
+    # spectral_decomposition never forms M: it holds only the block too
     for call, bound in ((lambda: eigendecompose(m, leading=2), 1.3 * square),
-                        (lambda: spectral_decomposition(g, leading=2), 2.3 * square)):
+                        (lambda: spectral_decomposition(g, leading=2), 1.3 * square)):
         tracemalloc.start()
         try:
             dec = call()
