@@ -16,6 +16,7 @@ from .graph import WeightedGraph
 from .spectral import SpectralDecomposition
 
 EXHAUSTIVE_LIMIT = 12
+MAX_ITER = 300  # Lloyd iterations per k-means restart
 
 
 @dataclass(frozen=True)
@@ -156,10 +157,10 @@ def _seed_centers(pts, w, k, rng):
     return pts[chosen].copy()
 
 
-def _lloyd(pts, w, centers, max_iter):
+def _lloyd(pts, w, centers):
     n, k = pts.shape[0], centers.shape[0]
     labels = np.full(n, -1, dtype=np.intp)
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         d2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         new_labels = d2.argmin(axis=1).astype(np.intp)
         counts = np.bincount(new_labels, minlength=k)
@@ -187,12 +188,13 @@ def _lloyd(pts, w, centers, max_iter):
 
 
 def weighted_kmeans(reps: Representatives, k: int, *, restarts: int = 20,
-                    max_iter: int = 300, seed: int = 0) -> tuple[Partition, float]:
+                    seed: int = 0) -> tuple[Partition, float]:
     """Best local minimum of the weighted clustering objective over restarts.
 
     Seeding picks centers with probability proportional to weight times
     squared distance to the nearest chosen center; empty clusters during
-    iteration steal the point with the largest weighted cost.  Ties between
+    iteration steal the point with the largest weighted cost, and each
+    restart stops after at most MAX_ITER Lloyd iterations.  Ties between
     restarts keep the earlier restart, so the result is seed-deterministic.
     """
     if restarts < 1:
@@ -211,7 +213,7 @@ def weighted_kmeans(reps: Representatives, k: int, *, restarts: int = 20,
     for r in range(restarts):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, r])))
         centers = _seed_centers(pts, w, k, rng)
-        labels = _lloyd(pts, w, centers, max_iter)
+        labels = _lloyd(pts, w, centers)
         val = _cost(pts, w, labels, k)
         if val < best_val - 1e-15:
             best_val, best_labels = val, labels

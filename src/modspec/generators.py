@@ -1,9 +1,9 @@
 """Graph generators: block models, deterministic families, vertex blow-ups.
 
-Randomness comes from numpy's PCG64 generator seeded explicitly.  For the
-random block model a single n-by-n uniform array is drawn row by row and the
-upper triangle compared against the block probabilities, so a (model, seed)
-pair always yields the same graph regardless of platform.
+Block models (the complete, bipartite and two-clique families included) and
+blow-ups gather pair weights over slots with ``graph._slot_weights``; random
+graphs link them with :func:`_link`, one seeded PCG64 uniform per pair, so a
+(model, seed) pair yields the same graph on every platform.
 """
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadSize
-from .graph import WeightedGraph, default_vertex_ids
+from .graph import WeightedGraph, _slot_weights, default_vertex_ids
 
 
 @dataclass(frozen=True)
@@ -50,22 +50,23 @@ class BlockModel:
         return np.repeat(np.arange(self.k), self.sizes)
 
 
+def _link(pair_probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Symmetric 0/1 float matrix linking each pair i < j whose uniform from
+    one ``rng.random(shape)`` draw falls below the pair's probability."""
+    upper = np.triu(rng.random(pair_probs.shape) < pair_probs, k=1)
+    return (upper | upper.T).astype(float)
+
+
 def generalized_random_graph(model: BlockModel, seed: int) -> tuple[WeightedGraph, np.ndarray]:
     """Sample a 0/1 graph where pair (i, j) links with its block probability.
 
-    Returns the graph and the planted block label of each vertex.  Edges are
-    decided by comparing one uniform per ordered pair (i < j, row-major) from
-    a fresh PCG64 stream against the pair's block probability.
+    Returns the graph and the planted block label of each vertex; the pairs
+    are linked by :func:`_link` on a fresh PCG64 stream.
     """
-    n = model.n
     blocks = model.block_of_vertex()
     rng = np.random.Generator(np.random.PCG64(seed))
-    uniforms = rng.random((n, n))
-    pairp = model.probs[np.ix_(blocks, blocks)]
-    hit = uniforms < pairp
-    upper = np.triu(hit, k=1)
-    w = (upper | upper.T).astype(float)
-    return WeightedGraph(w, default_vertex_ids(n)), blocks
+    w = _link(_slot_weights(model.probs, blocks), rng)
+    return WeightedGraph._adopt(w, default_vertex_ids(model.n)), blocks
 
 
 def expected_block_graph(model: BlockModel) -> WeightedGraph:
@@ -74,49 +75,36 @@ def expected_block_graph(model: BlockModel) -> WeightedGraph:
     The diagonal is zero, so within-block weights follow the complete-graph
     pattern rather than adding self loops.
     """
-    blocks = model.block_of_vertex()
-    w = model.probs[np.ix_(blocks, blocks)].copy()
-    np.fill_diagonal(w, 0.0)
-    return WeightedGraph(w, default_vertex_ids(model.n))
+    w = _slot_weights(model.probs, model.block_of_vertex())
+    return WeightedGraph._adopt(w, default_vertex_ids(model.n))
 
 
 def complete_graph(n: int) -> WeightedGraph:
     if n < 1:
         raise BadSize("complete graph needs n >= 1")
-    w = np.ones((n, n)) - np.eye(n)
-    return WeightedGraph(w, default_vertex_ids(n))
+    return expected_block_graph(BlockModel((n,), np.ones((1, 1))))
 
 
 def complete_bipartite(a: int, b: int) -> WeightedGraph:
     if a < 1 or b < 1:
         raise BadSize("complete bipartite graph needs both sides nonempty")
-    n = a + b
-    w = np.zeros((n, n))
-    w[:a, a:] = 1.0
-    w[a:, :a] = 1.0
-    return WeightedGraph(w, default_vertex_ids(n))
+    return expected_block_graph(BlockModel((a, b), 1.0 - np.eye(2)))
 
 
 def path_graph(n: int) -> WeightedGraph:
     if n < 1:
         raise BadSize("path graph needs n >= 1")
-    w = np.zeros((n, n))
-    for i in range(n - 1):
-        w[i, i + 1] = w[i + 1, i] = 1.0
-    return WeightedGraph(w, default_vertex_ids(n))
+    return WeightedGraph._adopt(np.eye(n, k=1) + np.eye(n, k=-1), default_vertex_ids(n))
 
 
 def two_cliques_bridge(m: int) -> WeightedGraph:
     """Two complete graphs on m vertices joined by a single unit edge."""
     if m < 1:
         raise BadSize("cliques need m >= 1")
-    n = 2 * m
-    w = np.zeros((n, n))
-    block = np.ones((m, m)) - np.eye(m)
-    w[:m, :m] = block
-    w[m:, m:] = block
+    cliques = BlockModel((m, m), np.eye(2))
+    w = _slot_weights(cliques.probs, cliques.block_of_vertex())
     w[m - 1, m] = w[m, m - 1] = 1.0
-    return WeightedGraph(w, default_vertex_ids(n))
+    return WeightedGraph._adopt(w, default_vertex_ids(2 * m))
 
 
 _CLASSICAL = {
@@ -145,6 +133,6 @@ def blow_up(g: WeightedGraph, t: int) -> WeightedGraph:
     """
     if t < 1:
         raise BadSize("blow-up factor must be >= 1")
-    w = np.kron(g.weights, np.ones((t, t)))
+    w = _slot_weights(g.weights, np.repeat(np.arange(g.n), t))
     ids = tuple(f"{v}#{c:03d}" for v in g.vertex_ids for c in range(t))
     return WeightedGraph._adopt(w, ids)

@@ -25,7 +25,7 @@ def modularity(g: WeightedGraph, p: Partition) -> float:
     total = 0.0
     for a in range(p.k):
         idx = p.members(a)
-        vol = float(g.degrees[idx].sum()) if idx.size else 0.0
+        vol = g.volume(idx)
         if vol <= 0:
             raise ZeroVolume(f"cluster {a} has zero volume")
         total += g.weighted_cut(idx, idx) / vol

@@ -37,9 +37,7 @@ def mixing_discrepancy(g: WeightedGraph, left, right) -> float:
     li = vertex_subset(left, g.n)
     ri = vertex_subset(right, g.n)
     cut = g.weighted_cut(li, ri)
-    vl = float(g.degrees[li].sum()) if li.size else 0.0
-    vr = float(g.degrees[ri].sum()) if ri.size else 0.0
-    return abs(cut - vl * vr)
+    return abs(cut - g.volume(li) * g.volume(ri))
 
 
 def verify_mixing(g: WeightedGraph, *, samples: int | None = None,
@@ -51,6 +49,8 @@ def verify_mixing(g: WeightedGraph, *, samples: int | None = None,
     the spectral norm of the normalized modularity matrix; exceeding it
     signals an implementation bug, which tests assert.
     """
+    if g.n == 0:
+        raise ZeroVolume("mixing needs at least one vertex")
     d = g.degrees
     w = g.weights
     n = g.n
@@ -233,8 +233,8 @@ def volume_regularity_alpha(g: WeightedGraph, cluster_a, cluster_b, *,
     same = ai.size == bi.size and np.array_equal(ai, bi)
     if not same and np.intersect1d(ai, bi).size:
         raise ValueError("clusters must be disjoint or identical")
-    vol_a = float(g.degrees[ai].sum())
-    vol_b = float(g.degrees[bi].sum())
+    vol_a = g.volume(ai)
+    vol_b = g.volume(bi)
     if vol_a <= 0 or vol_b <= 0:
         raise ZeroVolume("clusters must have positive volume")
     rho = g.relative_density(ai, bi)
@@ -345,8 +345,8 @@ def regularity_certificate(g: WeightedGraph, dec: SpectralDecomposition,
                 method=method,
                 witness_x=wx,
                 witness_y=wy,
-                vol_a=float(g.degrees[ia].sum()),
-                vol_b=float(g.degrees[ib].sum()),
+                vol_a=g.volume(ia),
+                vol_b=g.volume(ib),
                 ratio_to_bound=(alpha / bound) if alpha is not None and bound > 0 else None,
             ))
     return RegularityReport(k=k, s=s, eps=eps, bound=bound,

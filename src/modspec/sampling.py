@@ -1,11 +1,12 @@
 """Degree-proportional vertex sampling and convergence experiments.
 
 A sample keeps m slots drawn i.i.d. with probabilities d_i / Vol; repeated
-vertices stay distinct slots, and slot pairs link with probability equal to
-the original edge weight (zero for copies of one vertex, since diagonals are
-zero).  Experiments restrict each draw to its largest connected component,
-record the coverage fraction, and flag rows with coverage below 0.9 instead
-of dropping them.
+vertices stay distinct slots.  Slot pairs link with probability equal to the
+original edge weight (zero for copies of one vertex, since diagonals are
+zero) through the gather and linker of :func:`generalized_random_graph`, so
+a sample is a W-random graph of the weighted graph.  Experiments restrict
+each draw to its largest connected component, record the coverage fraction,
+and flag rows with coverage below 0.9 instead of dropping them.
 
 Per-trial seeds derive from (seed, m, trial) through numpy's SeedSequence,
 so a trial's row does not depend on the rest of the schedule.
@@ -19,9 +20,9 @@ import math
 import numpy as np
 
 from .errors import BadK, BadSize, Disconnected, NoGap, WeightsNotProbabilities, ZeroVolume
-from .graph import WeightedGraph, default_vertex_ids
+from .graph import WeightedGraph, _slot_weights, default_vertex_ids
 from .clustering import representatives, weighted_kmeans
-from .generators import blow_up
+from .generators import _link, blow_up
 from .spectral import spectral_decomposition
 
 COVERAGE_FLAG = 0.9
@@ -78,10 +79,7 @@ def sample_subgraph(g: WeightedGraph, m: int, seed: int) -> SampleDraw:
     rng = np.random.Generator(np.random.PCG64(seed))
     probs = g.degrees / g.total_volume
     slots = rng.choice(g.n, size=m, replace=True, p=probs).astype(np.intp)
-    uniforms = rng.random((m, m))
-    pair_probs = g.weights[np.ix_(slots, slots)]
-    upper = np.triu(uniforms < pair_probs, k=1)
-    adj = (upper | upper.T).astype(float)
+    adj = _link(_slot_weights(g.weights, slots), rng)
     graph = WeightedGraph._adopt(adj, default_vertex_ids(m))
     return SampleDraw(slots=slots, graph=graph, seed=seed)
 
@@ -195,9 +193,9 @@ def subspace_convergence(g: WeightedGraph, factors, k: int) -> ConvergenceTable:
     rows = []
     for t in fac:
         gt = g if t == 1 else blow_up(g, t)
-        vecs = (dec if t == 1 else spectral_decomposition(gt, leading=k - 1)).vectors
-        transformed = vecs / np.sqrt(gt.degrees)[:, None]
-        averaged = transformed.reshape(g.n, t, k - 1).mean(axis=1)
+        dec_t = dec if t == 1 else spectral_decomposition(gt, leading=k - 1)
+        points = representatives(dec_t, gt, k).points
+        averaged = points.reshape(g.n, t, k - 1).mean(axis=1)
         basis, _ = np.linalg.qr(sqrt_d[:, None] * averaged)
         if t == 1:
             base, dist = basis, 0.0

@@ -15,6 +15,8 @@ from modspec import (
     structural_count,
     two_cliques_bridge,
 )
+from modspec.graph import default_vertex_ids
+from modspec.sampling import sample_subgraph
 
 
 def test_block_model_validation():
@@ -154,3 +156,113 @@ def test_blow_up_preserves_spectrum_exactly():
             nonzero = np.sort(dec.lambdas[np.abs(dec.lambdas) > 1e-10])
             assert nonzero.size == nonzero0.size
             assert np.allclose(nonzero, nonzero0, atol=1e-10)
+
+
+# Reference recipes: each builder's own construction before the builders
+# shared one slot gather and one Bernoulli linker.
+
+def _recipe_random_graph(model, seed):
+    n = model.n
+    blocks = model.block_of_vertex()
+    rng = np.random.Generator(np.random.PCG64(seed))
+    uniforms = rng.random((n, n))
+    pairp = model.probs[np.ix_(blocks, blocks)]
+    hit = uniforms < pairp
+    upper = np.triu(hit, k=1)
+    return (upper | upper.T).astype(float), blocks
+
+
+def _recipe_sample(g, m, seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    probs = g.degrees / g.total_volume
+    slots = rng.choice(g.n, size=m, replace=True, p=probs).astype(np.intp)
+    uniforms = rng.random((m, m))
+    pair_probs = g.weights[np.ix_(slots, slots)]
+    upper = np.triu(uniforms < pair_probs, k=1)
+    return slots, (upper | upper.T).astype(float)
+
+
+def _recipe_expected(model):
+    blocks = model.block_of_vertex()
+    w = model.probs[np.ix_(blocks, blocks)].copy()
+    np.fill_diagonal(w, 0.0)
+    return w
+
+
+def _recipe_classical(name, *args):
+    if name == "complete":
+        (n,) = args
+        return np.ones((n, n)) - np.eye(n)
+    if name == "complete_bipartite":
+        a, b = args
+        w = np.zeros((a + b, a + b))
+        w[:a, a:] = 1.0
+        w[a:, :a] = 1.0
+        return w
+    if name == "path":
+        (n,) = args
+        w = np.zeros((n, n))
+        for i in range(n - 1):
+            w[i, i + 1] = w[i + 1, i] = 1.0
+        return w
+    (m,) = args
+    w = np.zeros((2 * m, 2 * m))
+    block = np.ones((m, m)) - np.eye(m)
+    w[:m, :m] = block
+    w[m:, m:] = block
+    w[m - 1, m] = w[m, m - 1] = 1.0
+    return w
+
+
+def _same_bytes(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+def test_builders_match_their_reference_recipes():
+    for seed in (0, 1, 7, 42, 2023):
+        rng = np.random.default_rng(seed)
+        k = 3
+        probs = np.round(rng.random((k, k)), 2)
+        probs = np.triu(probs) + np.triu(probs, 1).T
+        probs[0, 1] = probs[1, 0] = 1.0
+        probs[2, 2] = 0.0
+        for sizes in ((1,), (1, 2, 1), (5, 3, 4)):
+            model = BlockModel(sizes, probs[:len(sizes), :len(sizes)])
+            ids = default_vertex_ids(model.n)
+            g, blocks = generalized_random_graph(model, seed)
+            w, ref_blocks = _recipe_random_graph(model, seed)
+            _same_bytes(g.weights, w)
+            _same_bytes(blocks, ref_blocks)
+            assert g.vertex_ids == ids
+            e = expected_block_graph(model)
+            _same_bytes(e.weights, _recipe_expected(model))
+            assert e.vertex_ids == ids
+        base = expected_block_graph(model)
+        for m in (1, 2, 40):
+            draw = sample_subgraph(base, m, seed)
+            slots, adj = _recipe_sample(base, m, seed)
+            _same_bytes(draw.slots, slots)
+            _same_bytes(draw.graph.weights, adj)
+            assert draw.graph.vertex_ids == default_vertex_ids(m)
+        # 40 slots over 12 vertices repeat; two copies of a vertex stay unlinked
+        same = draw.slots[:, None] == draw.slots[None, :]
+        assert np.count_nonzero(same) > draw.slots.size
+        assert not draw.graph.weights[same].any()
+        for src in (base, g, complete_graph(1)):
+            for t in (1, 2, 3):
+                h = blow_up(src, t)
+                _same_bytes(h.weights, np.kron(src.weights, np.ones((t, t))))
+                assert h.vertex_ids == tuple(
+                    f"{v}#{c:03d}" for v in src.vertex_ids for c in range(t))
+        for idx in ([], [4], sorted(rng.choice(base.n, size=5, replace=False))):
+            sub = base.induced_subgraph(idx)
+            _same_bytes(sub.weights, base.weights[np.ix_(idx, idx)].astype(float))
+            assert sub.vertex_ids == tuple(base.vertex_ids[i] for i in idx)
+    for name, args in (("complete", (1,)), ("complete", (4,)),
+                       ("complete_bipartite", (1, 1)), ("complete_bipartite", (2, 3)),
+                       ("path", (1,)), ("path", (2,)), ("path", (5,)),
+                       ("two_cliques_bridge", (1,)), ("two_cliques_bridge", (3,))):
+        c = classical(name, *args)
+        _same_bytes(c.weights, _recipe_classical(name, *args))
+        assert c.vertex_ids == default_vertex_ids(c.n)

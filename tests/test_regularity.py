@@ -92,6 +92,15 @@ def test_verify_mixing_limits_and_sampling():
         verify_mixing(small, samples=0, seed=1)
 
 
+@pytest.mark.parametrize("samples, seed", [(None, None), (10, 3)],
+                         ids=["exhaustive", "sampled"])
+def test_verify_mixing_rejects_an_empty_graph(samples, seed):
+    # n = 0 has no nonempty subset: the sampled redraw of empty subsets
+    # never ended, and the exhaustive table indexed a row it did not have
+    with pytest.raises(ZeroVolume):
+        verify_mixing(WeightedGraph(np.zeros((0, 0))), samples=samples, seed=seed)
+
+
 def test_cut_norm_exact_matches_brute_force():
     rng = np.random.default_rng(32)
     for _ in range(12):

@@ -167,7 +167,7 @@ def test_subspace_convergence_distance_is_the_sine_of_the_tilt(monkeypatch):
         v = real(gt, leading=leading + 1).vectors
         vecs = v[:, :leading].copy()
         vecs[:, 0] = np.cos(theta) * v[:, 0] + np.sin(theta) * v[:, leading]
-        return SimpleNamespace(vectors=vecs)
+        return SimpleNamespace(n=gt.n, vectors=vecs)
 
     monkeypatch.setattr(sampling, "spectral_decomposition", tilted)
     tab = subspace_convergence(g, (1, 2, 4), 3)
