@@ -25,7 +25,7 @@ from .spectral import spectral_decomposition, spectral_gap, structural_count
 from .clustering import Partition, k_variance, representatives, weighted_kmeans
 from .quality import quality_report
 from .regularity import regularity_certificate
-from .generators import BlockModel, classical, generalized_random_graph
+from .generators import BlockModel, _size_names, classical, generalized_random_graph
 from .sampling import (
     dominant_vertex_ratio,
     k_variance_convergence,
@@ -78,11 +78,7 @@ def _render_scalar(value) -> str:
 def _load_graph(path: str, use_largest: bool):
     with open(path, "r", encoding="utf-8") as fh:
         raw = load_edge_list(fh.read())
-    if use_largest:
-        analyzed = raw.induced_subgraph(raw.largest_component())
-    else:
-        analyzed = raw
-    return raw, analyzed
+    return raw, raw.largest_component() if use_largest else raw
 
 
 def _input_block(path: str, raw: WeightedGraph, analyzed: WeightedGraph,
@@ -239,15 +235,10 @@ def cmd_generate(args) -> int:
         model = BlockModel(_parse_sizes(args.sizes), _parse_probs(args.p))
         g, _ = generalized_random_graph(model, args.seed)
     else:
-        sizes = {
-            "complete": ("n",), "path": ("n",),
-            "complete_bipartite": ("a", "b"), "two_cliques_bridge": ("m",),
-        }
         if args.name is None:
             raise ValueError("classical generation needs --name")
-        needed = sizes[args.name]
         values = []
-        for attr in needed:
+        for attr in _size_names(args.name):
             val = getattr(args, attr)
             if val is None:
                 raise ValueError(f"classical {args.name} needs --{attr}")

@@ -7,6 +7,7 @@ graphs link them with :func:`_link`, one seeded PCG64 uniform per pair, so a
 """
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,10 +31,11 @@ class BlockModel:
         k = len(sizes)
         if p.shape != (k, k):
             raise BadSize(f"probability matrix must be {k}x{k}")
+        # a comparison with NaN is False, so NaN fails here and not as asymmetric
+        if not ((p >= 0) & (p <= 1)).all():
+            raise BadSize("probabilities must lie in [0, 1]")
         if not np.array_equal(p, p.T):
             raise BadSize("probability matrix must be symmetric")
-        if (p < 0).any() or (p > 1).any():
-            raise BadSize("probabilities must lie in [0, 1]")
         p.setflags(write=False)
         object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "probs", p)
@@ -115,13 +117,21 @@ _CLASSICAL = {
 }
 
 
-def classical(name: str, *args: int) -> WeightedGraph:
-    """Dispatch to a named deterministic family; sizes are positional."""
+def _size_names(name: str) -> tuple[str, ...]:
+    """Names of the sizes a classical family takes, in positional order."""
     try:
-        builder = _CLASSICAL[name]
+        return tuple(inspect.signature(_CLASSICAL[name]).parameters)
     except KeyError:
         raise BadSize(f"unknown classical family {name!r}") from None
-    return builder(*(int(a) for a in args))
+
+
+def classical(name: str, *args: int) -> WeightedGraph:
+    """Dispatch to a named deterministic family; sizes are positional."""
+    names = _size_names(name)
+    if len(args) != len(names):
+        raise BadSize(f"classical {name!r} takes sizes ({', '.join(names)}), "
+                      f"got {len(args)}")
+    return _CLASSICAL[name](*(int(a) for a in args))
 
 
 def blow_up(g: WeightedGraph, t: int) -> WeightedGraph:

@@ -42,13 +42,16 @@ def _slot_weights(weights: np.ndarray, slots: np.ndarray) -> np.ndarray:
 def vertex_subset(indices, n: int) -> np.ndarray:
     """Validate a vertex subset and return it as a sorted integer array.
 
-    Accepts any iterable of integers.  Rejects out-of-range entries and
-    duplicates; an empty subset is fine.
+    Accepts any iterable of integers.  Rejects entries of any other dtype
+    (floats are never truncated), out-of-range entries and duplicates; an
+    empty subset is fine.
     """
-    idx = np.asarray(list(indices) if not isinstance(indices, np.ndarray) else indices,
-                     dtype=np.intp).ravel()
+    idx = np.asarray(indices if isinstance(indices, np.ndarray) else list(indices)).ravel()
     if idx.size == 0:
-        return idx
+        return idx.astype(np.intp)
+    if not np.issubdtype(idx.dtype, np.integer):
+        raise ValueError(f"vertex indices must be integers, got dtype {idx.dtype}")
+    idx = idx.astype(np.intp, copy=False)
     if idx.min() < 0 or idx.max() >= n:
         raise ValueError(f"vertex index out of range for n={n}")
     idx = np.sort(idx)
@@ -158,21 +161,18 @@ class WeightedGraph:
         return count, labels
 
     def is_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        count, _ = self._components
-        return count == 1
+        return self._components[0] <= 1
 
-    def largest_component(self) -> np.ndarray:
-        """Indices of the largest connected component, ties broken by smallest index."""
-        if self.n == 0:
-            return np.empty(0, dtype=np.intp)
-        _, labels = self._components
+    def largest_component(self) -> "WeightedGraph":
+        """Subgraph induced by the largest connected component, ties going to
+        the component that holds the smallest vertex; the graph itself when
+        it is connected (which includes n <= 1)."""
+        count, labels = self._components
+        if count <= 1:
+            return self
         sizes = np.bincount(labels)
-        _, first_seen = np.unique(labels, return_index=True)
-        candidates = np.flatnonzero(sizes == sizes.max())
-        chosen = candidates[int(np.argmin(first_seen[candidates]))]
-        return np.flatnonzero(labels == chosen).astype(np.intp)
+        chosen = labels[np.argmax(sizes[labels] == sizes.max())]
+        return self.induced_subgraph(np.flatnonzero(labels == chosen))
 
     def induced_subgraph(self, indices) -> "WeightedGraph":
         idx = vertex_subset(indices, self.n)

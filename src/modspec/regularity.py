@@ -322,13 +322,12 @@ def regularity_certificate(g: WeightedGraph, dec: SpectralDecomposition,
     eps = float(abs(dec.mus[k - 1])) if k - 1 < dec.n else 0.0
     bound = float(np.sqrt(2 * k) * s + eps)
     min_size_ratio = float(sizes.min() / g.n)
+    members = [p.members(a) for a in range(k)]
     pairs = []
     for a in range(k):
         for b in range(a, k):
-            ia = p.members(a)
-            ib = p.members(b)
-            budget = ia.size + ib.size if a != b else 2 * ia.size
-            if budget <= exact_limit:
+            ia, ib = members[a], members[b]
+            if ia.size + ib.size <= exact_limit:
                 alpha, (wx, wy) = volume_regularity_alpha(g, ia, ib)
                 method = "exact"
             elif samples > 0:

@@ -4,9 +4,12 @@ A sample keeps m slots drawn i.i.d. with probabilities d_i / Vol; repeated
 vertices stay distinct slots.  Slot pairs link with probability equal to the
 original edge weight (zero for copies of one vertex, since diagonals are
 zero) through the gather and linker of :func:`generalized_random_graph`, so
-a sample is a W-random graph of the weighted graph.  Experiments restrict
-each draw to its largest connected component, record the coverage fraction,
-and flag rows with coverage below 0.9 instead of dropping them.
+a sample is a W-random graph of the weighted graph.  :func:`sample_subgraph`
+returns it as a ``(graph, slots)`` pair, the shape in which
+``generalized_random_graph`` returns ``(graph, blocks)``.  Experiments
+measure each draw's ``largest_component()``, which is the draw itself when
+it is connected, record the coverage fraction (its vertex count over m), and
+flag rows with coverage below 0.9 instead of dropping them.
 
 Per-trial seeds derive from (seed, m, trial) through numpy's SeedSequence,
 so a trial's row does not depend on the rest of the schedule.
@@ -27,20 +30,6 @@ from .spectral import spectral_decomposition
 
 COVERAGE_FLAG = 0.9
 DOMINANT_FLAG = 10.0
-
-
-@dataclass(frozen=True)
-class SampleDraw:
-    """One sampled slot graph: original indices per slot plus the 0/1 graph."""
-
-    slots: np.ndarray
-    graph: WeightedGraph
-    seed: int
-
-    def __post_init__(self):
-        slots = np.asarray(self.slots, dtype=np.intp).copy()
-        slots.setflags(write=False)
-        object.__setattr__(self, "slots", slots)
 
 
 @dataclass(frozen=True)
@@ -67,9 +56,12 @@ def derive_trial_seed(seed: int, m: int, trial: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def sample_subgraph(g: WeightedGraph, m: int, seed: int) -> SampleDraw:
+def sample_subgraph(g: WeightedGraph, m: int, seed: int) -> tuple[WeightedGraph, np.ndarray]:
     """Draw m vertex slots with degree-proportional probabilities and link
-    slot pairs by Bernoulli trials with the original edge weights."""
+    slot pairs by Bernoulli trials with the original edge weights.
+
+    Returns the 0/1 slot graph and the original vertex of each slot.
+    """
     if m < 0:
         raise ValueError("m must be >= 0")
     if (g.weights > 1.0).any():
@@ -80,8 +72,7 @@ def sample_subgraph(g: WeightedGraph, m: int, seed: int) -> SampleDraw:
     probs = g.degrees / g.total_volume
     slots = rng.choice(g.n, size=m, replace=True, p=probs).astype(np.intp)
     adj = _link(_slot_weights(g.weights, slots), rng)
-    graph = WeightedGraph._adopt(adj, default_vertex_ids(m))
-    return SampleDraw(slots=slots, graph=graph, seed=seed)
+    return WeightedGraph._adopt(adj, default_vertex_ids(m)), slots
 
 
 def _check_schedule(g: WeightedGraph, schedule, trials: int) -> list[int]:
@@ -132,10 +123,9 @@ def _sampled_sweep(g: WeightedGraph, sched, trials: int, seed: int, mode: str,
     for m in sched:
         for trial in range(trials):
             child = derive_trial_seed(seed, m, trial)
-            draw = sample_subgraph(g, m, child)
-            comp = draw.graph.largest_component()
-            coverage = comp.size / m
-            measured = measure(draw.graph.induced_subgraph(comp), child)
+            sub = sample_subgraph(g, m, child)[0].largest_component()
+            coverage = sub.n / m
+            measured = measure(sub, child)
             if measured is None:
                 measured = [math.nan] * len(values)
             rows.append({"m": m, "trial": trial,

@@ -35,6 +35,22 @@ def test_block_model_validation():
     assert m.block_of_vertex().tolist() == [0, 0, 1, 1, 1]
 
 
+def test_block_model_reports_nan_as_out_of_range():
+    # NaN != NaN, so a symmetry check run first would call it asymmetric
+    with pytest.raises(BadSize, match=r"\[0, 1\]"):
+        BlockModel((2,), [[np.nan]])
+    with pytest.raises(BadSize, match=r"\[0, 1\]"):
+        BlockModel((1, 1), [[0.5, np.nan], [np.nan, 0.5]])
+
+
+def test_classical_wrong_size_count_names_the_sizes():
+    for args in ((3, 4), ()):
+        with pytest.raises(BadSize, match=r"'complete' takes sizes \(n\), got"):
+            classical("complete", *args)
+    with pytest.raises(BadSize, match=r"\(a, b\)"):
+        classical("complete_bipartite", 2)
+
+
 def test_random_graph_determinism_and_range():
     model = BlockModel((10, 10), np.array([[0.6, 0.1], [0.1, 0.6]]))
     g1, b1 = generalized_random_graph(model, 42)
@@ -240,15 +256,15 @@ def test_builders_match_their_reference_recipes():
             assert e.vertex_ids == ids
         base = expected_block_graph(model)
         for m in (1, 2, 40):
-            draw = sample_subgraph(base, m, seed)
+            drawn, drawn_slots = sample_subgraph(base, m, seed)
             slots, adj = _recipe_sample(base, m, seed)
-            _same_bytes(draw.slots, slots)
-            _same_bytes(draw.graph.weights, adj)
-            assert draw.graph.vertex_ids == default_vertex_ids(m)
+            _same_bytes(drawn_slots, slots)
+            _same_bytes(drawn.weights, adj)
+            assert drawn.vertex_ids == default_vertex_ids(m)
         # 40 slots over 12 vertices repeat; two copies of a vertex stay unlinked
-        same = draw.slots[:, None] == draw.slots[None, :]
-        assert np.count_nonzero(same) > draw.slots.size
-        assert not draw.graph.weights[same].any()
+        same = drawn_slots[:, None] == drawn_slots[None, :]
+        assert np.count_nonzero(same) > drawn_slots.size
+        assert not drawn.weights[same].any()
         for src in (base, g, complete_graph(1)):
             for t in (1, 2, 3):
                 h = blow_up(src, t)

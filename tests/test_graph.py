@@ -50,6 +50,18 @@ def test_vertex_subset_sorts_and_validates():
         vertex_subset([1, 1], 5)
 
 
+def test_vertex_subset_rejects_non_integer_indices():
+    g = triangle()
+    for bad in ([0.7], [0, 1.0], np.array([1.0]), [True], ["0"]):
+        with pytest.raises(ValueError, match="integers"):
+            vertex_subset(bad, 3)
+    with pytest.raises(ValueError, match="integers"):
+        g.volume([0.7])
+    assert vertex_subset(np.array([2, 0], dtype=np.uint8), 3).tolist() == [0, 2]
+    assert vertex_subset(np.array([], dtype=float), 3).dtype == np.intp
+    assert g.volume([]) == 0.0
+
+
 def test_constructor_validation():
     with pytest.raises(ValueError):
         WeightedGraph(np.zeros((2, 3)))
@@ -132,13 +144,13 @@ def test_connectivity_and_largest_component():
     w[3, 4] = w[4, 3] = 1.0
     h = WeightedGraph(w)
     assert not h.is_connected()
-    assert h.largest_component().tolist() == [2, 3, 4]
+    assert h.largest_component().vertex_ids == ("v2", "v3", "v4")
     # tie in size resolved toward the component seen first
     w2 = np.zeros((4, 4))
     w2[0, 1] = w2[1, 0] = 1.0
     w2[2, 3] = w2[3, 2] = 1.0
-    assert WeightedGraph(w2).largest_component().tolist() == [0, 1]
-    assert WeightedGraph(np.zeros((0, 0))).largest_component().size == 0
+    assert WeightedGraph(w2).largest_component().vertex_ids == ("v0", "v1")
+    assert WeightedGraph(np.zeros((0, 0))).largest_component().n == 0
 
 
 def test_largest_component_tie_among_many_equal_components():
@@ -155,11 +167,26 @@ def test_largest_component_tie_among_many_equal_components():
     candidates = np.flatnonzero(sizes == sizes.max())
     first_seen = [int(np.argmax(labels == c)) for c in candidates]
     oracle = np.flatnonzero(labels == candidates[int(np.argmin(first_seen))])
-    chosen = g.largest_component()
-    assert chosen.tolist() == oracle.tolist()
+    index = {v: i for i, v in enumerate(g.vertex_ids)}
+    chosen = [index[v] for v in g.largest_component().vertex_ids]
+    assert chosen == oracle.tolist()
     # the tied pair holding the smallest vertex wins
-    assert chosen.tolist() == sorted(pairs[(pairs == 1).any(axis=1)][0].tolist())
+    assert chosen == sorted(pairs[(pairs == 1).any(axis=1)][0].tolist())
     assert labels[chosen[0]] != labels[0]
+
+
+def test_largest_component_is_the_graph_or_a_connected_labelled_subgraph():
+    for g in (triangle(), WeightedGraph(np.zeros((1, 1))), WeightedGraph(np.zeros((0, 0)))):
+        assert g.largest_component() is g
+    w = np.zeros((6, 6))
+    w[0, 5] = w[5, 0] = 1.0
+    w[1, 2] = w[2, 1] = 0.5
+    w[2, 4] = w[4, 2] = 2.0
+    g = WeightedGraph(w, ("f", "e", "d", "c", "b", "a"))
+    big = g.largest_component()
+    assert big.is_connected()
+    assert big.vertex_ids == ("e", "d", "b")
+    assert np.array_equal(big.weights, w[np.ix_([1, 2, 4], [1, 2, 4])])
 
 
 def test_induced_subgraph_keeps_labels():
@@ -421,15 +448,15 @@ def test_components_are_computed_per_graph():
         path[i, i + 1] = path[i + 1, i] = 1.0
     g = WeightedGraph(path)
     assert g.is_connected() and g.is_connected()
-    assert g.largest_component().tolist() == [0, 1, 2, 3]
+    assert g.largest_component().vertex_ids == ("v0", "v1", "v2", "v3")
     # derived graphs answer for themselves, not from the parent's cached answer
     split = g.induced_subgraph([0, 1, 3])
     assert not split.is_connected()
-    assert split.largest_component().tolist() == [0, 1]
+    assert split.largest_component().vertex_ids == ("v0", "v1")
     assert g.induced_subgraph([1, 2]).is_connected()
     normalized = split.normalize_volume()
     assert not normalized.is_connected()
-    assert normalized.largest_component().tolist() == [0, 1]
+    assert normalized.largest_component().vertex_ids == ("v0", "v1")
     assert g.normalize_volume().is_connected()
     assert g.is_connected()
 
@@ -475,7 +502,7 @@ def test_derived_graphs_are_frozen():
 
     g = load_edge_list("a\tb\t0.5\nb\tc\t0.25\na\tc\t1.0\n")
     derived = [g, g.induced_subgraph([0, 2]), g.normalize_volume(), blow_up(g, 2),
-               sample_subgraph(g, 5, seed=1).graph]
+               sample_subgraph(g, 5, seed=1)[0]]
     for h in derived:
         assert not h.weights.flags.writeable
         assert not np.shares_memory(h.weights, g.weights) or h is g
