@@ -64,12 +64,20 @@ def sample_subgraph(g: WeightedGraph, m: int, seed: int) -> tuple[WeightedGraph,
     """
     if m < 0:
         raise ValueError("m must be >= 0")
+    return _draw(g, _slot_probabilities(g), m, seed)
+
+
+def _slot_probabilities(g: WeightedGraph) -> np.ndarray:
+    """d_i / Vol, after checking that g's weights can be edge probabilities."""
     if (g.weights > 1.0).any():
         raise WeightsNotProbabilities("edge weights above 1 cannot be edge probabilities")
     if g.total_volume <= 0:
         raise ZeroVolume("cannot sample from a zero-volume graph")
+    return g.degrees / g.total_volume
+
+
+def _draw(g: WeightedGraph, probs, m: int, seed: int) -> tuple[WeightedGraph, np.ndarray]:
     rng = np.random.Generator(np.random.PCG64(seed))
-    probs = g.degrees / g.total_volume
     slots = rng.choice(g.n, size=m, replace=True, p=probs).astype(np.intp)
     adj = _link(_slot_weights(g.weights, slots), rng)
     return WeightedGraph._adopt(adj, default_vertex_ids(m)), slots
@@ -119,11 +127,12 @@ def _sampled_sweep(g: WeightedGraph, sched, trials: int, seed: int, mode: str,
     ``measure(sub, child_seed)`` returns one number per name in ``values``, or
     None when the draw is too small to measure, which records NaN.
     """
+    probs = _slot_probabilities(g)
     rows = []
     for m in sched:
         for trial in range(trials):
             child = derive_trial_seed(seed, m, trial)
-            sub = sample_subgraph(g, m, child)[0].largest_component()
+            sub = _draw(g, probs, m, child)[0].largest_component()
             coverage = sub.n / m
             measured = measure(sub, child)
             if measured is None:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -115,9 +117,78 @@ def test_cut_norm_exact_matches_brute_force():
 
 
 def test_cut_norm_zero_matrix_witness_is_empty():
-    val, rsel, csel = cut_norm_exact(np.zeros((3, 3)))
-    assert val == 0.0
-    assert rsel.size == 0 and csel.size == 0
+    for shape in ((3, 3), (4, 2), (2, 4)):
+        val, rsel, csel = cut_norm_exact(np.zeros(shape))
+        assert val == 0.0
+        assert rsel.size == 0 and csel.size == 0
+
+
+@pytest.mark.parametrize("routine", [cut_norm_exact, cut_norm_exact_bilinear, cut_norm_bound],
+                         ids=["exact", "bilinear", "bound"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_cut_norm_routines_reject_non_finite_matrices(routine, bad):
+    # a matrix with NaN or inf has no cut norm, and the closed form of the
+    # exact routine would skip a NaN entry without a word
+    with pytest.raises(ValueError, match="finite"):
+        routine(np.array([[bad, 1.0], [2.0, 3.0]]))
+
+
+ENUM_LIMIT_SHAPES = [(12, 12), (16, 8), (8, 16), (1, 23), (23, 1)]
+
+
+@pytest.mark.parametrize("shape", ENUM_LIMIT_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_cut_norm_exact_at_the_enumeration_limit(shape):
+    rng = np.random.default_rng(sum(shape) * 100 + shape[0])
+    mat = rng.integers(-256, 257, size=shape) / 256.0
+    val, rsel, csel = cut_norm_exact(mat)
+    if max(shape) <= 16:
+        # the oracle's bit table for 23 columns alone would take 1.5 GB
+        assert val == cut_norm_exact_bilinear(mat)
+    else:
+        # with one row or column the best pair takes the positive or the
+        # negative entries
+        assert val == max(mat[mat > 0].sum(), -mat[mat < 0].sum())
+    # on the 1/256 grid every subset sum is exact, so the witness gives the
+    # value to the last bit
+    assert abs(mat[np.ix_(rsel, csel)].sum()) == val
+
+
+def test_cut_norm_exact_tie_rule():
+    # first maximizing mask of the shorter side, then {r > 0} unless {r < 0}
+    # scores more or scores the same with a smaller mask
+    cases = [
+        ([[1.0, -1.0]], [0], [0]),
+        ([[-1.0, 1.0]], [0], [0]),
+        ([[1.0, -2.0]], [0], [1]),
+        ([[1.0, -1.0], [-1.0, 1.0]], [0], [0]),
+        ([[-1.0], [1.0]], [0], [0]),
+        ([[0.0, 0.0], [1.0, -1.0], [0.0, 0.0]], [1], [0]),
+        # m > n enumerates the columns: column mask 1 already scores 2
+        ([[-1.0, -1.0], [-1.0, 1.0], [0.0, 1.0]], [0, 1], [0]),
+    ]
+    for mat, rows, cols in cases:
+        val, rsel, csel = cut_norm_exact(mat)
+        assert (rsel.tolist(), csel.tolist()) == (rows, cols), mat
+        assert abs(np.asarray(mat)[np.ix_(rsel, csel)].sum()) == val
+
+
+def test_exact_branch_allocates_no_table_of_pairs():
+    # the enumeration holds 2^min(m, n) subset sums of the shorter side; a
+    # table over both sides at m + n = 24 would take 2^24 cells (128 MiB)
+    rng = np.random.default_rng(41)
+    bound = 4 * 2**20
+    calls = [lambda mat=rng.normal(size=shape): cut_norm_exact(mat)
+             for shape in ENUM_LIMIT_SHAPES]
+    g = random_connected(rng, 24).normalize_volume()
+    calls.append(lambda: volume_regularity_alpha(g, range(12), range(12, 24)))
+    for call in calls:
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, f"peak {peak / 2**20:.2f} MiB"
 
 
 def test_cut_norm_strategies_agree():

@@ -114,6 +114,29 @@ def test_spectral_convergence_deterministic_and_order_free(sweep):
     assert [r for r in t1.rows if r["m"] == 15] == list(t3.rows)
 
 
+def test_sweeps_check_the_graph_once_and_draw_what_sample_subgraph_draws(monkeypatch):
+    g = planted_two_block()
+    calls = []
+    checked = sampling._slot_probabilities
+
+    def counting(graph):
+        calls.append(graph)
+        return checked(graph)
+
+    monkeypatch.setattr(sampling, "_slot_probabilities", counting)
+    tab = spectral_convergence(g, (10, 20), 3, 1, seed=4)
+    # one scan of W per sweep, not one per draw
+    assert len(calls) == 1
+    for row in tab.rows:
+        draw, _ = sample_subgraph(g, row["m"], derive_trial_seed(4, row["m"], row["trial"]))
+        assert row["coverage"] == draw.largest_component().n / row["m"]
+    heavy = WeightedGraph(np.array([[0.0, 2.0, 2.0], [2.0, 0.0, 2.0], [2.0, 2.0, 0.0]]))
+    with pytest.raises(WeightsNotProbabilities):
+        spectral_convergence(heavy, (2, 3), 1, 1, seed=0)
+    with pytest.raises(WeightsNotProbabilities):
+        k_variance_convergence(heavy, (2, 3), 1, 2, seed=0, restarts=1)
+
+
 def test_spectral_convergence_validation():
     g = planted_two_block()
     with pytest.raises(BadSize):

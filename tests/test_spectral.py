@@ -14,6 +14,7 @@ from modspec import (
     ZeroDegree,
     dump_edge_list,
     eigendecompose,
+    expected_block_graph,
     generalized_random_graph,
     normalized_modularity,
     order_by_abs,
@@ -283,6 +284,25 @@ def connected_graphs(draw):
         w = np.where(cross, 0.5 + 0.5 * rng.random((n, n)), 0.05 * rng.random((n, n)))
     w = np.triu(w, k=1)
     return WeightedGraph(w + w.T)
+
+
+def plain_normalized_modularity(w):
+    """D^{-1/2} W D^{-1/2} - q q^T with q = sqrt(d / Vol), in plain numpy."""
+    d = w.sum(axis=1)
+    q = np.sqrt(d / d.sum())
+    return w / np.sqrt(np.outer(d, d)) - np.outer(q, q)
+
+
+def test_normalized_modularity_matches_a_plain_numpy_oracle():
+    rng = np.random.default_rng(42)
+    graphs = [random_connected(rng, n) for n in (2, 3, 7, 16, 40)]
+    model = BlockModel((3, 5, 8), np.array([[0.9, 0.2, 0.05],
+                                            [0.2, 0.7, 0.3],
+                                            [0.05, 0.3, 0.6]]))
+    graphs.append(expected_block_graph(model))
+    for g in graphs:
+        oracle = plain_normalized_modularity(g.weights)
+        assert np.abs(normalized_modularity(g) - oracle).max() <= 1e-15
 
 
 @settings(max_examples=300)
