@@ -19,6 +19,7 @@ from .errors import (
     EigenFailure,
     InternalNumericalError,
     ModspecError,
+    Unsolved,
 )
 from .graph import WeightedGraph, dump_edge_list, load_edge_list
 from .spectral import spectral_decomposition, spectral_gap, structural_count
@@ -101,11 +102,21 @@ def _spectrum_block(dec, eps_list, top) -> dict:
     for eps in eps_list or []:
         counts[repr(float(eps))] = structural_count(dec, float(eps))
     return {
-        "lambdas": [float(v) for v in dec.lambdas[:top]],
-        "mus": [float(v) for v in dec.mus[:top]],
+        "lambdas": [float(v) for v in dec.top_lambdas(top)],
+        "mus": [float(v) for v in dec.top_mus(top)],
         "spectral_gap": spectral_gap(dec),
         "structural_counts": counts,
     }
+
+
+def _decompose(g: WeightedGraph, args, k: int):
+    """The decomposition a report with k clusters reads: k - 1 vectors and,
+    with --top, only the first max(top, k) values of each order (and the
+    counts at every --eps), so a large graph may be solved sparsely; without
+    --top, every value."""
+    values = None if args.top is None else max(args.top, k)
+    eps = min(args.eps) if args.eps else None
+    return spectral_decomposition(g, leading=max(k - 1, 0), values=values, eps=eps)
 
 
 def _trivial_partition(g: WeightedGraph) -> Partition:
@@ -171,7 +182,7 @@ def _regularity_block(g: WeightedGraph, report) -> dict:
 
 def cmd_spectrum(args) -> int:
     raw, g = _load_graph(args.file, args.largest_component)
-    dec = spectral_decomposition(g, leading=0)
+    dec = _decompose(g, args, 1)
     report = {
         "input": _input_block(args.file, raw, g, args.largest_component),
         "spectrum": _spectrum_block(dec, args.eps, args.top),
@@ -182,7 +193,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_cluster(args) -> int:
     raw, g = _load_graph(args.file, args.largest_component)
-    dec = spectral_decomposition(g, leading=max(args.k - 1, 0))
+    dec = _decompose(g, args, args.k)
     _, cluster_block = _cluster_blocks(g, dec, args.k, args.seed, args.restarts)
     report = {
         "input": _input_block(args.file, raw, g, args.largest_component),
@@ -196,7 +207,7 @@ def cmd_cluster(args) -> int:
 def cmd_regularity(args) -> int:
     raw, g = _load_graph(args.file, args.largest_component)
     g = g.normalize_volume()
-    dec = spectral_decomposition(g, leading=max(args.k - 1, 0))
+    dec = _decompose(g, args, args.k)
     part, cluster_block = _cluster_blocks(g, dec, args.k, args.seed, args.restarts)
     cert = regularity_certificate(g, dec, part, args.k, exact_limit=args.exact_max,
                                   samples=args.samples, seed=args.seed)
@@ -354,7 +365,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (EigenFailure, InternalNumericalError) as exc:
+    except (EigenFailure, InternalNumericalError, Unsolved) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     except ModspecError as exc:

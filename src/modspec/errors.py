@@ -55,6 +55,10 @@ class EigenFailure(ModspecError):
     eigen-equation residual check."""
 
 
+class Unsolved(ModspecError):
+    """A partial spectral decomposition was read past the eigenvalues it solved."""
+
+
 class InternalNumericalError(ModspecError):
     """A computed identity that must hold up to roundoff failed its self-check."""
 

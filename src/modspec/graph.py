@@ -2,7 +2,9 @@
 
 Vertices are integer indices 0..n-1 with optional external string labels.
 Vertex subsets are passed around as validated integer index arrays; use
-:func:`vertex_subset` to canonicalize caller-supplied collections.
+:func:`vertex_subset` to canonicalize caller-supplied collections.  Besides
+the dense weight matrix, a graph caches one CSR view of it on first use;
+connectivity and the sparse eigensolver run on that view.
 """
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ from itertools import repeat
 from typing import NoReturn
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
 
 from .errors import (
@@ -22,6 +24,11 @@ from .errors import (
     SelfLoop,
     ZeroVolume,
 )
+
+
+# cells per row block when the CSR view is built: the block's temporaries stay
+# small next to the n^2 matrix
+_CSR_BLOCK_CELLS = 1 << 16
 
 
 def default_vertex_ids(n: int) -> tuple[str, ...]:
@@ -37,6 +44,33 @@ def _slot_weights(weights: np.ndarray, slots: np.ndarray) -> np.ndarray:
     w = weights.take(slots, axis=0).take(slots, axis=1)
     np.fill_diagonal(w, 0.0)
     return w
+
+
+def _csr_view(weights: np.ndarray) -> csr_array:
+    """Read-only CSR copy of the nonzero entries, built in row blocks.
+
+    The rows are counted first, then each block of rows fills its share of
+    the CSR arrays; no index array over all nonzeros exists besides the CSR
+    one, whose indices are 32-bit when they fit.
+    """
+    n = weights.shape[0]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.count_nonzero(weights, axis=1), out=indptr[1:])
+    itype = np.int32 if indptr[-1] < 2**31 else np.int64
+    indptr = indptr.astype(itype)
+    data = np.empty(indptr[-1])
+    indices = np.empty(indptr[-1], dtype=itype)
+    step = max(1, _CSR_BLOCK_CELLS // max(n, 1))
+    for lo in range(0, n, step):
+        block = weights[lo:lo + step]
+        rows, cols = np.nonzero(block)
+        span = slice(indptr[lo], indptr[lo + block.shape[0]])
+        data[span] = block[rows, cols]
+        indices[span] = cols
+    view = csr_array((data, indices, indptr), shape=(n, n))
+    for part in (view.data, view.indices, view.indptr):
+        part.setflags(write=False)
+    return view
 
 
 def vertex_subset(indices, n: int) -> np.ndarray:
@@ -153,10 +187,19 @@ class WeightedGraph:
         return self.weighted_cut(li, ri) / (vl * vr)
 
     @cached_property
+    def _csr(self) -> csr_array:
+        """CSR view of the weights, built on first use."""
+        return _csr_view(self.weights)
+
+    @cached_property
     def _components(self) -> tuple[int, np.ndarray]:
-        """Component count and per-vertex labels, computed on first use."""
-        support = csr_matrix(self.weights > 0)
-        count, labels = connected_components(support, directed=False)
+        """Component count and per-vertex labels, computed on first use.
+
+        W is symmetric, so the strong components of the directed graph on
+        the CSR view are the connected components; unlike the undirected
+        search, this one needs no transposed copy of the view.
+        """
+        count, labels = connected_components(self._csr, directed=True, connection="strong")
         labels.setflags(write=False)
         return count, labels
 

@@ -52,7 +52,7 @@ def relaxation_bounds(dec: SpectralDecomposition, k: int) -> tuple[float, float]
     """
     if not 1 <= k <= dec.n:
         raise BadK(f"k={k} outside [1, {dec.n}]")
-    upper = float(dec.lambdas[: k - 1].sum())
+    upper = float(dec.top_lambdas(k - 1).sum())
     return upper, (k - 1) - upper
 
 

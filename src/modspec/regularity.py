@@ -24,6 +24,7 @@ MIXING_EXACT_LIMIT = 12
 ENUM_LIMIT = 24
 FLIP_CAP = 1000
 _CHUNK = 1 << 22  # max float64 cells materialized at once by enumerations
+_MIXING_CHUNK = 1 << 19  # cells per array in verify_mixing's exhaustive scan
 
 
 def _bit_table(n: int) -> np.ndarray:
@@ -62,14 +63,20 @@ def verify_mixing(g: WeightedGraph, *, samples: int | None = None,
         cross = bits @ w
         best = -1.0
         best_pair = (0, 0)
-        rows_per = max(1, _CHUNK // max(bits.shape[0], 1))
+        rows_per = max(1, _MIXING_CHUNK // max(bits.shape[0], 1))
         for start in range(0, bits.shape[0], rows_per):
             stop = min(start + rows_per, bits.shape[0])
-            wxy = cross[start:stop] @ bits.T
+            # |w(X, Y) - vol X vol Y| / sqrt(vol X vol Y), in place on two
+            # chunk-sized arrays
+            ratio = cross[start:stop] @ bits.T
             prod = np.outer(vols[start:stop], vols)
+            empty = prod <= 0
+            ratio -= prod
+            np.abs(ratio, out=ratio)
+            np.sqrt(prod, out=prod)
             with np.errstate(invalid="ignore", divide="ignore"):
-                ratio = np.abs(wxy - prod) / np.sqrt(prod)
-            ratio[prod <= 0] = 0.0
+                ratio /= prod
+            ratio[empty] = 0.0
             flat = int(np.argmax(ratio))
             val = float(ratio.flat[flat])
             if val > best:
@@ -315,7 +322,7 @@ def regularity_certificate(g: WeightedGraph, dec: SpectralDecomposition,
     else:
         reps = representatives(dec, g, k)
         s = float(np.sqrt(max(k_variance(reps.points, reps.weights, p), 0.0)))
-    eps = float(abs(dec.mus[k - 1])) if k - 1 < dec.n else 0.0
+    eps = float(abs(dec.top_mus(k)[k - 1])) if k - 1 < dec.n else 0.0
     bound = float(np.sqrt(2 * k) * s + eps)
     min_size_ratio = float(sizes.min() / g.n)
     members = [p.members(a) for a in range(k)]

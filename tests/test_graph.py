@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -459,6 +460,35 @@ def test_components_are_computed_per_graph():
     assert normalized.largest_component().vertex_ids == ("v0", "v1")
     assert g.normalize_volume().is_connected()
     assert g.is_connected()
+
+
+def test_csr_view_holds_exactly_the_nonzero_weights():
+    rng = np.random.default_rng(21)
+    for n, density in ((0, 0.5), (1, 0.5), (7, 0.0), (40, 0.3), (300, 0.05)):
+        g = random_graph(rng, n, density)
+        view = g._csr
+        assert view.shape == (n, n) and view.has_sorted_indices
+        assert view.nnz == np.count_nonzero(g.weights)
+        assert np.array_equal(view.toarray(), g.weights)
+        assert not view.data.flags.writeable
+        assert g._csr is view
+
+
+def test_first_connectivity_check_peaks_below_two_squares():
+    # complete random weights: the CSR view itself holds 1.5 n^2 doubles
+    # (values plus 32-bit indices); the old csr_matrix(weights > 0) build
+    # peaked at 3.25 and csr_matrix(weights) at 4.0
+    n = 900
+    w = np.triu(np.random.default_rng(22).random((n, n)) + 0.1, k=1)
+    g = WeightedGraph(w + w.T)
+    del w
+    tracemalloc.start()
+    try:
+        assert g.is_connected()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.0 * n * n * 8, f"peak {peak / (n * n * 8):.2f} n^2 doubles"
 
 
 def test_constructor_copies_a_caller_array():

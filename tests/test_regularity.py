@@ -94,6 +94,41 @@ def test_verify_mixing_limits_and_sampling():
         verify_mixing(small, samples=0, seed=1)
 
 
+def _mixing_table_oracle(g):
+    # every nonempty subset pair scored in one table, first maximum in mask
+    # order; the same float operations as the chunked scan
+    n = g.n
+    bits = ((np.arange(1, 1 << n)[:, None] >> np.arange(n)) & 1).astype(float)
+    vols = bits @ g.degrees
+    prod = np.outer(vols, vols)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ratio = np.abs((bits @ g.weights) @ bits.T - prod) / np.sqrt(prod)
+    ratio[prod <= 0] = 0.0
+    x, y = np.unravel_index(int(np.argmax(ratio)), ratio.shape)
+    return float(ratio[x, y]), np.flatnonzero(bits[x]), np.flatnonzero(bits[y])
+
+
+def test_verify_mixing_exhaustive_scan_is_small_and_exact():
+    rng = np.random.default_rng(34)
+    for n in (2, 5, 9, 10):
+        for g in (random_connected(rng, n), random_connected(rng, n).normalize_volume(),
+                  WeightedGraph(np.round(2 * random_connected(rng, n).weights) / 2)):
+            val, (wx, wy) = verify_mixing(g)
+            ref, rx, ry = _mixing_table_oracle(g)
+            assert val.hex() == ref.hex()
+            assert np.array_equal(wx, rx) and np.array_equal(wy, ry)
+    # at the exhaustive limit the scan holds chunk-sized arrays, not a
+    # table over all 2^12 x 2^12 subset pairs (that peaked at 161 MiB)
+    g = random_connected(rng, 12)
+    tracemalloc.start()
+    try:
+        verify_mixing(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
 @pytest.mark.parametrize("samples, seed", [(None, None), (10, 3)],
                          ids=["exhaustive", "sampled"])
 def test_verify_mixing_rejects_an_empty_graph(samples, seed):

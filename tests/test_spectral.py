@@ -1,23 +1,28 @@
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from modspec import (
     BlockModel,
     Disconnected,
     EigenFailure,
     Partition,
+    Unsolved,
     WeightedGraph,
     ZeroDegree,
+    blow_up,
     dump_edge_list,
     eigendecompose,
     expected_block_graph,
     generalized_random_graph,
     normalized_modularity,
     order_by_abs,
+    relaxation_bounds,
     representatives,
     spectral_decomposition,
     spectral_gap,
@@ -555,3 +560,225 @@ def test_partial_solve_allocates_no_second_square_array():
             tracemalloc.stop()
         assert dec.vectors.shape == (n, 2)
         assert peak <= bound, f"peak {peak / square:.2f} n^2 doubles"
+
+
+# bounded requests on the sparse path: eigsh on the deflated operator
+
+
+def sparse_solve(g, leading, values, eps=None):
+    """spectral_decomposition with the sparse path open to every graph."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectral, "SPARSE_MIN_N", 0)
+        patch.setattr(spectral, "SPARSE_MAX_FILL", 1.0)
+        return spectral_decomposition(g, leading=leading, values=values, eps=eps)
+
+
+def assert_matches_dense(g, leading, values, eps_list=(0.5,)):
+    n = g.n
+    dense = spectral_decomposition(g, leading=leading)
+    dec = sparse_solve(g, leading, values, min(eps_list, default=None))
+    t = max(values, leading, 1)
+    assert dec.n == n
+    assert np.abs(dec.top_lambdas(t) - dense.lambdas[:t]).max() <= 1e-12
+    assert np.abs(dec.top_mus(t) - dense.mus[:t]).max() <= 1e-12
+    # every rank the partial names holds its value, and the bound covers
+    # every magnitude it does not hold
+    assert np.abs(dense.lambdas[dec.mu_to_lambda] - dec.mus).max() <= 1e-12
+    assert np.abs(dense.mus[dec.mus.size:]).max(initial=0.0) <= dec.unsolved + 1e-12
+    for eps in eps_list:
+        assert structural_count(dec, eps) == structural_count(dense, eps)
+    v = dec.vectors
+    assert v.shape == (n, leading)
+    assert np.abs(v[:, :n - 1].T @ dense.sqrt_degrees).max(initial=0.0) <= 1e-8
+    if 0 < leading < n and abs(dense.mus[leading - 1]) - abs(dense.mus[leading]) > 1e-6:
+        ref = dense.vectors
+        assert np.abs(v @ v.T - ref @ ref.T).max() <= 1e-8
+    return dec
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(connected_graphs(), planted_graphs().map(lambda gk: gk[0])),
+       st.integers(1, 8), st.integers(0, 3),
+       st.lists(st.sampled_from([0.0, 0.05, 0.3, 0.5, 0.9]), max_size=2))
+def test_sparse_path_matches_the_dense_solve(g, values, leading, eps_list):
+    assume(leading <= g.n)
+    dec = assert_matches_dense(g, leading, values, eps_list)
+    t = max(values, leading, 1)
+    # partial exactly when eigsh ran: 2t < n - 1, doubled while eps was low
+    if 2 * t >= g.n - 1:
+        assert dec.lambdas.size == g.n
+
+
+def _cycle(n):
+    w = np.zeros((n, n))
+    i = np.arange(n)
+    w[i, (i + 1) % n] = w[(i + 1) % n, i] = 1.0
+    return WeightedGraph(w)
+
+
+@pytest.mark.parametrize("family, held", [("complete", 8), ("expected-blocks", 8),
+                                          ("cycle", 128), ("blow-up", 8)])
+def test_sparse_path_on_exact_multiplicities(family, held):
+    planted = BlockModel((100, 100, 100), np.array([[0.3, 0.05, 0.05],
+                                                    [0.05, 0.3, 0.05],
+                                                    [0.05, 0.05, 0.3]]))
+    if family == "complete":
+        g = complete_graph(300)
+    elif family == "expected-blocks":
+        g = expected_block_graph(planted)
+    elif family == "cycle":
+        g = _cycle(301)
+    else:
+        small = BlockModel((20, 20, 20), planted.probs)
+        g = blow_up(generalized_random_graph(small, 3)[0], 5)
+    # the cycle has about 200 magnitudes above 0.5: t doubles from 8 to 128
+    dec = assert_matches_dense(g, 2, 8, (0.5,))
+    assert dec.lambdas.size == held
+
+
+def test_low_eps_doubles_the_request_until_the_count_is_exact(monkeypatch):
+    # five planted blocks: four structural values near 0.7, the bulk below 0.3
+    probs = np.full((5, 5), 0.02)
+    np.fill_diagonal(probs, 0.9)
+    g, _ = generalized_random_graph(BlockModel((40,) * 5, probs), 12)
+    ks = []
+    real = spectral.eigsh
+
+    def spy(*args, **kwargs):
+        # the solves, not the searches for missed copies (which keep no vectors)
+        if kwargs["return_eigenvectors"]:
+            ks.append(kwargs["k"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "eigsh", spy)
+    dec = assert_matches_dense(g, 2, 2, (0.3,))
+    assert ks == [4, 8, 16]
+    assert dec.lambdas.size == 8 and structural_count(dec, 0.3) == 4
+    # below the bulk no bound ever covers eps, so the request ends dense
+    ks.clear()
+    dec = assert_matches_dense(g, 2, 2, (0.01,))
+    assert ks == [4, 8, 16, 32, 64, 128] and dec.lambdas.size == g.n
+
+
+def test_a_copy_eigsh_did_not_return_sends_the_request_to_the_dense_path(monkeypatch):
+    # three twin pairs (adjacent, with the same four neighbours) add the
+    # eigenvalue -12/16 = -0.75 three times below the bulk of a planted graph
+    probs = np.full((3, 3), 0.05)
+    np.fill_diagonal(probs, 0.3)
+    base, _ = generalized_random_graph(BlockModel((40, 40, 40), probs), 6)
+    n = base.n + 6
+    w = np.zeros((n, n))
+    w[:base.n, :base.n] = base.weights
+    for pair, links in enumerate(np.random.default_rng(6).choice(base.n, (3, 4), replace=False)):
+        i, j = base.n + 2 * pair, base.n + 2 * pair + 1
+        w[i, j] = w[j, i] = 12.0
+        w[i, links] = w[links, i] = w[j, links] = w[links, j] = 1.0
+    g = WeightedGraph(w)
+    dense = spectral_decomposition(g)
+    assert np.sort(dense.lambdas)[:4] == pytest.approx([-0.75] * 3 + [-0.5], abs=0.2)
+    assert np.sort(dense.lambdas)[:3] == pytest.approx([-0.75] * 3, abs=1e-14)
+    real = spectral._extremes
+
+    def one_copy_short(apply, m, t):
+        # what Lanczos returns when its start vector leaves one copy out:
+        # the t + 1 smallest values minus one copy of -0.75
+        vals, vecs = real(apply, m, t + 1)
+        keep = np.r_[0:t, t + 1:2 * t + 1]
+        return vals[keep], vecs[:, keep]
+
+    monkeypatch.setattr(spectral, "_extremes", one_copy_short)
+    dec = sparse_solve(g, 2, 6)
+    assert dec.lambdas.size == n
+    assert dec.mus.tobytes() == dense.mus.tobytes()
+    # without the search for hidden copies the partial would be wrong
+    monkeypatch.setattr(spectral, "_hides_a_copy", lambda *args: False)
+    wrong = sparse_solve(g, 2, 6)
+    assert wrong.lambdas.size == 6
+    assert np.abs(wrong.top_mus(6) - dense.mus[:6]).max() > 1e-3
+
+
+def test_a_partial_decomposition_refuses_reads_past_what_it_solved():
+    g, _ = generalized_random_graph(BlockModel((40, 40, 40), np.array(
+        [[0.6, 0.05, 0.05], [0.05, 0.6, 0.05], [0.05, 0.05, 0.6]])), 4)
+    dec = sparse_solve(g, 2, 3)
+    assert dec.n == g.n == representatives(dec, g, 3).points.shape[0]
+    assert dec.lambdas.size == 3 and dec.unsolved > 0.0
+    assert dec.top_lambdas(3).size == 3 and dec.top_mus(3).size == 3
+    assert relaxation_bounds(dec, 4)[0] == pytest.approx(dec.lambdas[:3].sum())
+    for read in (lambda: dec.top_lambdas(4), lambda: dec.top_lambdas(None),
+                 lambda: dec.top_mus(None), lambda: relaxation_bounds(dec, 5),
+                 lambda: structural_count(dec, dec.unsolved / 2)):
+        with pytest.raises(Unsolved):
+            read()
+    assert structural_count(dec, dec.unsolved) == structural_count(
+        spectral_decomposition(g), dec.unsolved)
+
+
+def _planted_file(tmp_path, block, seed):
+    probs = np.full((3, 3), 0.05)
+    np.fill_diagonal(probs, 0.3)
+    g, _ = generalized_random_graph(BlockModel((block,) * 3, probs), seed)
+    path = tmp_path / "planted.tsv"
+    path.write_text(dump_edge_list(g))
+    return g, str(path)
+
+
+def test_sparse_solver_failures_exit_3(monkeypatch, tmp_path, capsys):
+    g, path = _planted_file(tmp_path, 40, 2)
+    monkeypatch.setattr(spectral, "SPARSE_MIN_N", 0)
+    real = spectral.eigsh
+
+    def no_convergence(*args, **kwargs):
+        raise ArpackNoConvergence("No convergence (37 iterations, 5/16 eigenvectors converged)",
+                                  np.zeros(0), np.zeros((g.n - 1, 0)))
+
+    def skewed(*args, **kwargs):
+        if not kwargs["return_eigenvectors"]:
+            return real(*args, **kwargs)
+        vals, vecs = real(*args, **kwargs)
+        return vals, np.roll(vecs, 1, axis=0)
+
+    argv = ["cluster", path, "--k", "3", "--seed", "0", "--top", "8"]
+    for fake, message in ((no_convergence, "37 iterations"), (skewed, "eigen-equation residual")):
+        with monkeypatch.context() as patch:
+            patch.setattr(spectral, "eigsh", fake)
+            with pytest.raises(EigenFailure, match=message):
+                spectral_decomposition(g, leading=2, values=8)
+            assert main(argv) == 3
+            err = capsys.readouterr().err
+            assert "EigenFailure" in err and message in err
+            # without --top every value is read, and the dense path never calls eigsh
+            assert main(argv[:-2]) == 0
+            capsys.readouterr()
+
+
+def test_sparse_cluster_reports_are_deterministic_and_match_dense(monkeypatch, tmp_path, capsys):
+    g, path = _planted_file(tmp_path, 400, 9)
+    assert g.n >= spectral.SPARSE_MIN_N
+    calls = []
+    real = spectral.eigsh
+
+    def spy(*args, **kwargs):
+        calls.append((kwargs["k"], kwargs["return_eigenvectors"]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "eigsh", spy)
+    argv = ["cluster", path, "--k", "3", "--seed", "5", "--eps", "0.5", "--top", "8"]
+    outs = []
+    for _ in range(2):
+        assert main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    # per run: the solve, then the search for a copy it did not return
+    assert calls == [(16, True), (2, False)] * 2
+    assert outs[0] == outs[1]
+    monkeypatch.setattr(spectral, "SPARSE_MIN_N", g.n + 1)
+    assert main(argv) == 0
+    dense = capsys.readouterr().out
+    assert len(calls) == 4
+    a, b = json.loads(outs[0]), json.loads(dense)
+    assert a["clustering"].pop("labels") == b["clustering"].pop("labels")
+    assert a["input"] == b["input"]
+    assert a["spectrum"].pop("structural_counts") == b["spectrum"].pop("structural_counts")
+    for part in ("spectrum", "clustering"):
+        for key, value in a[part].items():
+            assert np.abs(np.subtract(value, b[part][key])).max() <= 1e-12, key
