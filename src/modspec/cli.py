@@ -26,7 +26,7 @@ from .spectral import spectral_decomposition, spectral_gap, structural_count
 from .clustering import Partition, k_variance, representatives, weighted_kmeans
 from .quality import quality_report
 from .regularity import regularity_certificate
-from .generators import BlockModel, _size_names, classical, generalized_random_graph
+from .generators import _CLASSICAL, BlockModel, _size_names, classical, generalized_random_graph
 from .sampling import (
     dominant_vertex_ratio,
     k_variance_convergence,
@@ -96,8 +96,6 @@ def _input_block(path: str, raw: WeightedGraph, analyzed: WeightedGraph,
 
 
 def _spectrum_block(dec, eps_list, top) -> dict:
-    if top is not None and top < 0:
-        raise ValueError(f"top={top} must be >= 0")
     counts = {}
     for eps in eps_list or []:
         counts[repr(float(eps))] = structural_count(dec, float(eps))
@@ -336,8 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--sizes", help="comma-separated block sizes")
     p_gen.add_argument("--p", help="block probability matrix, rows semicolon-separated")
     p_gen.add_argument("--seed", type=int, default=None)
-    p_gen.add_argument("--name", choices=["complete", "complete_bipartite",
-                                          "path", "two_cliques_bridge"])
+    p_gen.add_argument("--name", choices=list(_CLASSICAL))
     p_gen.add_argument("--n", type=int, default=None)
     p_gen.add_argument("--a", type=int, default=None)
     p_gen.add_argument("--b", type=int, default=None)
@@ -364,6 +361,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # before any file is read or any graph solved
+        for flag in ("top", "seed"):
+            value = getattr(args, flag, None)
+            if value is not None and value < 0:
+                raise ValueError(f"{flag}={value} must be >= 0")
         return args.func(args)
     except (EigenFailure, InternalNumericalError, Unsolved) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

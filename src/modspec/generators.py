@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadSize
-from .graph import WeightedGraph, _slot_weights, default_vertex_ids
+from .graph import WeightedGraph, _slot_weights
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ def generalized_random_graph(model: BlockModel, seed: int) -> tuple[WeightedGrap
     blocks = model.block_of_vertex()
     rng = np.random.Generator(np.random.PCG64(seed))
     w = _link(_slot_weights(model.probs, blocks), rng)
-    return WeightedGraph._adopt(w, default_vertex_ids(model.n)), blocks
+    return WeightedGraph._adopt(w), blocks
 
 
 def expected_block_graph(model: BlockModel) -> WeightedGraph:
@@ -78,7 +78,7 @@ def expected_block_graph(model: BlockModel) -> WeightedGraph:
     pattern rather than adding self loops.
     """
     w = _slot_weights(model.probs, model.block_of_vertex())
-    return WeightedGraph._adopt(w, default_vertex_ids(model.n))
+    return WeightedGraph._adopt(w)
 
 
 def complete_graph(n: int) -> WeightedGraph:
@@ -96,7 +96,7 @@ def complete_bipartite(a: int, b: int) -> WeightedGraph:
 def path_graph(n: int) -> WeightedGraph:
     if n < 1:
         raise BadSize("path graph needs n >= 1")
-    return WeightedGraph._adopt(np.eye(n, k=1) + np.eye(n, k=-1), default_vertex_ids(n))
+    return WeightedGraph._adopt(np.eye(n, k=1) + np.eye(n, k=-1))
 
 
 def two_cliques_bridge(m: int) -> WeightedGraph:
@@ -106,7 +106,7 @@ def two_cliques_bridge(m: int) -> WeightedGraph:
     cliques = BlockModel((m, m), np.eye(2))
     w = _slot_weights(cliques.probs, cliques.block_of_vertex())
     w[m - 1, m] = w[m, m - 1] = 1.0
-    return WeightedGraph._adopt(w, default_vertex_ids(2 * m))
+    return WeightedGraph._adopt(w)
 
 
 _CLASSICAL = {

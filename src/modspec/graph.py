@@ -4,7 +4,8 @@ Vertices are integer indices 0..n-1 with optional external string labels.
 Vertex subsets are passed around as validated integer index arrays; use
 :func:`vertex_subset` to canonicalize caller-supplied collections.  Besides
 the dense weight matrix, a graph caches one CSR view of it on first use;
-connectivity and the sparse eigensolver run on that view.
+connectivity and the sparse eigensolver run on that view.  It caches its
+largest weight the same way.
 """
 from __future__ import annotations
 
@@ -143,12 +144,19 @@ class WeightedGraph:
         if len(set(ids)) != n:
             raise ValueError("vertex_ids must be distinct")
         w.setflags(write=False)
-        deg = w.sum(axis=1)
+        with np.errstate(over="ignore"):
+            # an overflow to inf is reported just below
+            deg = w.sum(axis=1)
+            volume = float(deg.sum())
         deg.setflags(write=False)
+        # d_i / Vol and the degree products of the spectral path need a
+        # finite volume that is zero or a normal float
+        if not (volume == 0.0 or np.finfo(float).tiny <= volume < np.inf):
+            raise ValueError(f"total volume {volume!r} is outside the normal float range")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "vertex_ids", ids)
         object.__setattr__(self, "degrees", deg)
-        object.__setattr__(self, "total_volume", float(deg.sum()))
+        object.__setattr__(self, "total_volume", volume)
 
     @property
     def n(self) -> int:
@@ -190,6 +198,11 @@ class WeightedGraph:
     def _csr(self) -> csr_array:
         """CSR view of the weights, built on first use."""
         return _csr_view(self.weights)
+
+    @cached_property
+    def _max_weight(self) -> float:
+        """Largest weight (0.0 when there is none), found on first use."""
+        return float(self.weights.max(initial=0.0))
 
     @cached_property
     def _components(self) -> tuple[int, np.ndarray]:

@@ -19,6 +19,7 @@ from .errors import NoSeparation, TooLarge, ZeroVolume
 from .graph import WeightedGraph, vertex_subset
 from .clustering import Partition, k_variance, representatives
 from .spectral import SpectralDecomposition, eigendecompose
+from .sampling import derive_trial_seed
 
 MIXING_EXACT_LIMIT = 12
 ENUM_LIMIT = 24
@@ -334,7 +335,7 @@ def regularity_certificate(g: WeightedGraph, dec: SpectralDecomposition,
                 alpha, (wx, wy) = volume_regularity_alpha(g, ia, ib)
                 method = "exact"
             elif samples > 0:
-                child = int(np.random.SeedSequence([seed, a, b]).generate_state(1, np.uint64)[0])
+                child = derive_trial_seed(seed, a, b)
                 alpha, (wx, wy) = volume_regularity_alpha(
                     g, ia, ib, samples=samples, seed=child)
                 method = "sampled"

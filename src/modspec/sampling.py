@@ -6,10 +6,13 @@ original edge weight (zero for copies of one vertex, since diagonals are
 zero) through the gather and linker of :func:`generalized_random_graph`, so
 a sample is a W-random graph of the weighted graph.  :func:`sample_subgraph`
 returns it as a ``(graph, slots)`` pair, the shape in which
-``generalized_random_graph`` returns ``(graph, blocks)``.  Experiments
-measure each draw's ``largest_component()``, which is the draw itself when
-it is connected, record the coverage fraction (its vertex count over m), and
-flag rows with coverage below 0.9 instead of dropping them.
+``generalized_random_graph`` returns ``(graph, blocks)``.  It is the only
+draw; its check that W holds probabilities reads the largest weight, which
+the graph caches, so W is scanned once per graph, not once per draw.
+Experiments call it for every (m, trial), measure each draw's
+``largest_component()``, which is the draw itself when it is connected,
+record the coverage fraction (its vertex count over m), and flag rows with
+coverage below 0.9 instead of dropping them.
 
 Per-trial seeds derive from (seed, m, trial) through numpy's SeedSequence,
 so a trial's row does not depend on the rest of the schedule.
@@ -23,7 +26,7 @@ import math
 import numpy as np
 
 from .errors import BadK, BadSize, Disconnected, NoGap, WeightsNotProbabilities, ZeroVolume
-from .graph import WeightedGraph, _slot_weights, default_vertex_ids
+from .graph import WeightedGraph, _slot_weights
 from .clustering import representatives, weighted_kmeans
 from .generators import _link, blow_up
 from .spectral import spectral_decomposition
@@ -64,23 +67,13 @@ def sample_subgraph(g: WeightedGraph, m: int, seed: int) -> tuple[WeightedGraph,
     """
     if m < 0:
         raise ValueError("m must be >= 0")
-    return _draw(g, _slot_probabilities(g), m, seed)
-
-
-def _slot_probabilities(g: WeightedGraph) -> np.ndarray:
-    """d_i / Vol, after checking that g's weights can be edge probabilities."""
-    if (g.weights > 1.0).any():
+    if g._max_weight > 1.0:
         raise WeightsNotProbabilities("edge weights above 1 cannot be edge probabilities")
     if g.total_volume <= 0:
         raise ZeroVolume("cannot sample from a zero-volume graph")
-    return g.degrees / g.total_volume
-
-
-def _draw(g: WeightedGraph, probs, m: int, seed: int) -> tuple[WeightedGraph, np.ndarray]:
     rng = np.random.Generator(np.random.PCG64(seed))
-    slots = rng.choice(g.n, size=m, replace=True, p=probs).astype(np.intp)
-    adj = _link(_slot_weights(g.weights, slots), rng)
-    return WeightedGraph._adopt(adj, default_vertex_ids(m)), slots
+    slots = rng.choice(g.n, size=m, replace=True, p=g.degrees / g.total_volume).astype(np.intp)
+    return WeightedGraph._adopt(_link(_slot_weights(g.weights, slots), rng)), slots
 
 
 def _check_schedule(g: WeightedGraph, schedule, trials: int) -> list[int]:
@@ -127,12 +120,11 @@ def _sampled_sweep(g: WeightedGraph, sched, trials: int, seed: int, mode: str,
     ``measure(sub, child_seed)`` returns one number per name in ``values``, or
     None when the draw is too small to measure, which records NaN.
     """
-    probs = _slot_probabilities(g)
     rows = []
     for m in sched:
         for trial in range(trials):
             child = derive_trial_seed(seed, m, trial)
-            sub = _draw(g, probs, m, child)[0].largest_component()
+            sub = sample_subgraph(g, m, child)[0].largest_component()
             coverage = sub.n / m
             measured = measure(sub, child)
             if measured is None:

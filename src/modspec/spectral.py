@@ -67,12 +67,14 @@ def _block(g: WeightedGraph, size: int) -> np.ndarray:
     Entries are w_ij / sqrt(d_i d_j), with d scaled by one power of two,
     which is exact and keeps the products finite.
     """
-    scale = 2.0 ** -int(np.frexp(g.degrees.max())[1])
-    deg = g.degrees * scale
+    # ldexp, not a multiplication by 2.0 ** -e: for subnormal degrees that
+    # power is out of the float range
+    e = -int(np.frexp(g.degrees.max())[1])
+    deg = np.ldexp(g.degrees, e)
     block = np.outer(deg[:size], deg[:size])
     np.sqrt(block, out=block)
     np.divide(g.weights[:size, :size], block, out=block)
-    block *= scale
+    np.ldexp(block, e, out=block)
     return block
 
 

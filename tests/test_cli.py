@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from modspec import cli, sampling
 from modspec.cli import main, render_json
 
 
@@ -135,9 +136,22 @@ def test_regularity_sampled_rerun_identical(block_tsv, capsys):
     ("cluster", "--k 1 --restarts", "0", "restarts=0 must be >= 1"),
     ("converge", "--restarts", "0", "restarts=0 must be >= 1"),
     ("spectrum", "--top", "-3", "top=-3 must be >= 0"),
+    ("cluster", "--top", "-1", "top=-1 must be >= 0"),
+    ("regularity", "--top", "-1", "top=-1 must be >= 0"),
+    ("cluster", "--seed", "-1", "seed=-1 must be >= 0"),
+    ("regularity", "--seed", "-1", "seed=-1 must be >= 0"),
+    ("converge", "--seed", "-1", "seed=-1 must be >= 0"),
 ])
-def test_out_of_range_flags_are_rejected(block_tsv, tmp_path, capsys, command, flag, value,
-                                         message):
+def test_out_of_range_flags_are_rejected(block_tsv, tmp_path, capsys, monkeypatch, command,
+                                         flag, value, message):
+    if flag in ("--top", "--seed"):
+        # rejected before the graph is read or solved
+        def fail(*args, **kwargs):
+            raise AssertionError("the graph was read or solved")
+
+        for module, name in ((cli, "load_edge_list"), (cli, "spectral_decomposition"),
+                             (sampling, "spectral_decomposition")):
+            monkeypatch.setattr(module, name, fail)
     required = {
         "spectrum": [],
         "cluster": ["--k", "2", "--seed", "1"],
@@ -250,6 +264,33 @@ def test_input_error_exit_codes(tmp_path, capsys):
     loops.write_text("a\ta\t1\n")
     code, _, err = run(capsys, "spectrum", str(loops))
     assert code == 2 and "SelfLoop" in err
+
+
+def _cycle_tsv(path, n, weight):
+    path.write_text("".join(f"v{i:03d}\tv{(i + 1) % n:03d}\t{weight!r}\n" for i in range(n)))
+    return str(path)
+
+
+def test_weight_scales_at_the_ends_of_the_float_range(tmp_path, capsys):
+    # subnormal degrees, normal volume: the unit cycle's reports
+    unit = _cycle_tsv(tmp_path / "unit.tsv", 200, 1.0)
+    tiny = _cycle_tsv(tmp_path / "tiny.tsv", 200, 2.0**-1030)
+    for command in (["spectrum"], ["cluster", "--k", "2", "--seed", "1"]):
+        code, out, _ = run(capsys, *command, unit)
+        code_tiny, out_tiny, _ = run(capsys, *command, tiny)
+        assert code == code_tiny == 0
+        want, got = json.loads(out), json.loads(out_tiny)
+        assert got["input"]["total_volume"] == 200 * 2.0**-1029
+        assert got["spectrum"] == want["spectrum"]
+        assert got.get("clustering") == want.get("clustering")
+    # an overflowing and a subnormal volume are input errors
+    for weight, volume in ((1e308, "inf"), (1e-310, "6e-310")):
+        path = _cycle_tsv(tmp_path / "scale.tsv", 3, weight)
+        for command in (["spectrum"], ["cluster", "--k", "2", "--seed", "1"],
+                        ["regularity", "--k", "2", "--seed", "1"]):
+            code, out, err = run(capsys, *command, path)
+            assert code == 2 and out == ""
+            assert f"ValueError: total volume {volume} " in err
 
 
 def test_largest_component_flag(tmp_path, capsys):

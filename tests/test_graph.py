@@ -80,6 +80,18 @@ def test_constructor_validation():
         WeightedGraph(np.zeros((2, 2)), ("a", "a"))
 
 
+def test_total_volume_must_be_zero_or_a_normal_float():
+    for weight, volume in ((1e308, "inf"), (1e-310, "6e-310")):
+        w = np.zeros((4, 4))
+        for i in range(3):
+            w[i, i + 1] = w[i + 1, i] = weight
+        with pytest.raises(ValueError, match=f"total volume {volume} "):
+            WeightedGraph(w)
+        with pytest.raises(ValueError, match=f"total volume {volume} "):
+            load_edge_list("".join(f"{i}\t{i + 1}\t{weight!r}\n" for i in range(3)))
+    assert WeightedGraph(np.zeros((3, 3))).total_volume == 0.0
+
+
 def test_weights_are_frozen():
     g = triangle()
     with pytest.raises(ValueError):

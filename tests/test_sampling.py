@@ -117,16 +117,18 @@ def test_spectral_convergence_deterministic_and_order_free(sweep):
 def test_sweeps_check_the_graph_once_and_draw_what_sample_subgraph_draws(monkeypatch):
     g = planted_two_block()
     calls = []
-    checked = sampling._slot_probabilities
+    bound = WeightedGraph.__dict__["_max_weight"]
+    computed = bound.func
 
     def counting(graph):
         calls.append(graph)
-        return checked(graph)
+        return computed(graph)
 
-    monkeypatch.setattr(sampling, "_slot_probabilities", counting)
+    monkeypatch.setattr(bound, "func", counting)
     tab = spectral_convergence(g, (10, 20), 3, 1, seed=4)
-    # one scan of W per sweep, not one per draw
-    assert len(calls) == 1
+    k_variance_convergence(g, (10, 20), 3, 2, seed=4, restarts=2)
+    # one scan of W per graph, across both sweeps, and none of the draws
+    assert calls == [g]
     for row in tab.rows:
         draw, _ = sample_subgraph(g, row["m"], derive_trial_seed(4, row["m"], row["trial"]))
         assert row["coverage"] == draw.largest_component().n / row["m"]
@@ -135,6 +137,25 @@ def test_sweeps_check_the_graph_once_and_draw_what_sample_subgraph_draws(monkeyp
         spectral_convergence(heavy, (2, 3), 1, 1, seed=0)
     with pytest.raises(WeightsNotProbabilities):
         k_variance_convergence(heavy, (2, 3), 1, 2, seed=0, restarts=1)
+
+
+@pytest.mark.parametrize("mode", ["spectrum", "kvariance"])
+def test_both_sweeps_draw_each_row_through_sample_subgraph(monkeypatch, mode):
+    g = planted_two_block()
+    draws = []
+    draw = sampling.sample_subgraph
+
+    def recording(graph, m, seed):
+        draws.append((graph, m, seed))
+        return draw(graph, m, seed)
+
+    monkeypatch.setattr(sampling, "sample_subgraph", recording)
+    if mode == "spectrum":
+        tab = spectral_convergence(g, (10, 20), 3, 1, seed=4)
+    else:
+        tab = k_variance_convergence(g, (10, 20), 3, 2, seed=4, restarts=2)
+    assert draws == [(g, row["m"], derive_trial_seed(4, row["m"], row["trial"]))
+                     for row in tab.rows]
 
 
 def test_spectral_convergence_validation():

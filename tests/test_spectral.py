@@ -70,6 +70,17 @@ def test_scale_invariance():
     assert np.allclose(normalized_modularity(g), normalized_modularity(scaled), atol=1e-12)
 
 
+def test_subnormal_degrees_solve_like_unit_weights():
+    # every degree is subnormal, the volume (about 3.5e-308) is a normal float
+    cycle = np.roll(np.eye(200), 1, axis=1)
+    cycle += cycle.T
+    unit = spectral_decomposition(WeightedGraph(cycle), leading=3)
+    tiny = spectral_decomposition(WeightedGraph(cycle * 2.0**-1030), leading=3)
+    assert np.array_equal(tiny.lambdas, unit.lambdas)
+    assert np.array_equal(tiny.mus, unit.mus)
+    assert np.array_equal(tiny.vectors, unit.vectors)
+
+
 def test_sqrt_degree_kernel_vector():
     rng = np.random.default_rng(1)
     for _ in range(10):
