@@ -256,7 +256,7 @@ def cmd_generate(args) -> int:
     text = dump_edge_list(g)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(text)
-    edges = int(np.count_nonzero(g.weights) // 2)
+    edges = g.csr.nnz // 2
     print(f"n={g.n} edges={edges} -> {args.output}", file=sys.stderr)
     return 0
 

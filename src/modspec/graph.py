@@ -2,10 +2,11 @@
 
 Vertices are integer indices 0..n-1 with optional external string labels.
 Vertex subsets are passed around as validated integer index arrays; use
-:func:`vertex_subset` to canonicalize caller-supplied collections.  Besides
-the dense weight matrix, a graph caches one CSR view of it on first use;
-connectivity and the sparse eigensolver run on that view.  It caches its
-largest weight the same way.
+:func:`vertex_subset` to canonicalize caller-supplied collections.  A graph
+stores its weights once, as a read-only CSR array of the nonzero entries, so
+it costs O(n + nnz) memory and every reader in the package works on that
+array; ``weights`` hands out a dense copy for small graphs only.  The largest
+weight and the connected components are cached on first use.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from itertools import repeat
 from typing import NoReturn
 
 import numpy as np
-from scipy.sparse import csr_array
+from scipy.sparse import coo_array, csr_array, issparse, triu
 from scipy.sparse.csgraph import connected_components
 
 from .errors import (
@@ -27,8 +28,8 @@ from .errors import (
 )
 
 
-# cells per row block when the CSR view is built: the block's temporaries stay
-# small next to the n^2 matrix
+# cells per row block when a dense array is converted to CSR or back: the
+# block's temporaries stay small next to an n^2 array
 _CSR_BLOCK_CELLS = 1 << 16
 
 
@@ -38,17 +39,8 @@ def default_vertex_ids(n: int) -> tuple[str, ...]:
     return tuple(f"v{i:0{width}d}" for i in range(n))
 
 
-def _slot_weights(weights: np.ndarray, slots: np.ndarray) -> np.ndarray:
-    """Fresh ``weights[s_i, s_j]`` over the slots with a zero diagonal; two
-    copies of slot s stay distinct vertices joined by ``weights[s, s]``."""
-    # two takes beat one np.ix_ gather three- to fourfold
-    w = weights.take(slots, axis=0).take(slots, axis=1)
-    np.fill_diagonal(w, 0.0)
-    return w
-
-
 def _csr_view(weights: np.ndarray) -> csr_array:
-    """Read-only CSR copy of the nonzero entries, built in row blocks.
+    """CSR copy of the nonzero entries of a square array, built in row blocks.
 
     The rows are counted first, then each block of rows fills its share of
     the CSR arrays; no index array over all nonzeros exists besides the CSR
@@ -68,10 +60,7 @@ def _csr_view(weights: np.ndarray) -> csr_array:
         span = slice(indptr[lo], indptr[lo + block.shape[0]])
         data[span] = block[rows, cols]
         indices[span] = cols
-    view = csr_array((data, indices, indptr), shape=(n, n))
-    for part in (view.data, view.indices, view.indptr):
-        part.setflags(write=False)
-    return view
+    return csr_array((data, indices, indptr), shape=(n, n))
 
 
 def vertex_subset(indices, n: int) -> np.ndarray:
@@ -95,55 +84,52 @@ def vertex_subset(indices, n: int) -> np.ndarray:
     return idx
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class WeightedGraph:
-    """Symmetric non-negative weight matrix with zero diagonal.
+    """Symmetric non-negative weights with an empty diagonal, stored as CSR.
 
-    The weight matrix is copied and frozen at construction; degree sums are
-    cached.  All methods treat the graph as undirected.
+    The constructor takes a dense array-like or a scipy sparse array and
+    copies its nonzero entries (zeros of either sign are dropped) into a CSR
+    array with sorted indices, which it checks in O(nnz) and freezes; degree
+    sums are cached.  All methods treat the graph as undirected.
     """
 
-    weights: np.ndarray
-    vertex_ids: tuple[str, ...] = ()
-    degrees: np.ndarray = field(init=False, repr=False)
-    total_volume: float = field(init=False, repr=False)
+    csr: csr_array
+    vertex_ids: tuple[str, ...]
+    degrees: np.ndarray = field(repr=False)
+    total_volume: float = field(repr=False)
 
-    def __post_init__(self):
-        self._freeze(np.array(self.weights, dtype=float))
-
-    @classmethod
-    def _adopt(cls, weights: np.ndarray, vertex_ids=()) -> "WeightedGraph":
-        """Graph that takes over a fresh float array instead of copying it.
-
-        For constructors in this package that build ``weights`` themselves
-        and never touch it again; every check of the public constructor
-        still runs, and the array is frozen in place.
-        """
-        g = object.__new__(cls)
-        object.__setattr__(g, "vertex_ids", vertex_ids)
-        g._freeze(np.asarray(weights, dtype=float))
-        return g
-
-    def _freeze(self, w: np.ndarray) -> None:
-        """Validate ``w`` and the labels, then store them with the degree sums."""
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
+    def __init__(self, weights, vertex_ids=()):
+        sparse = issparse(weights)
+        if not sparse:
+            weights = np.asarray(weights, dtype=float)
+        if weights.ndim != 2 or weights.shape[0] != weights.shape[1]:
             raise ValueError("weight matrix must be square")
-        n = w.shape[0]
-        if not np.isfinite(w).all():
+        n = weights.shape[0]
+        if sparse:
+            w = csr_array(weights, dtype=float, copy=True)
+            w.sum_duplicates()
+            w.eliminate_zeros()
+        else:
+            w = _csr_view(weights)
+        if not np.isfinite(w.data).all():
             raise ValueError("weights must be finite")
-        if (w < 0).any():
+        if (w.data < 0).any():
             raise NegativeWeight("negative edge weight in weight matrix")
-        if not np.array_equal(w, w.T):
+        # both arrays are canonical, so W = W^T exactly when their parts agree
+        wt = w.T.tocsr()
+        if not all(map(np.array_equal, (w.indptr, w.indices, w.data),
+                       (wt.indptr, wt.indices, wt.data))):
             raise ValueError("weight matrix must be symmetric")
-        if n and np.diagonal(w).any():
+        if w.diagonal().any():
             raise SelfLoop("nonzero diagonal entry in weight matrix")
-        ids = self.vertex_ids if self.vertex_ids else default_vertex_ids(n)
-        ids = tuple(str(v) for v in ids)
+        ids = tuple(str(v) for v in vertex_ids) if vertex_ids else default_vertex_ids(n)
         if len(ids) != n:
             raise ValueError("vertex_ids length must match matrix size")
         if len(set(ids)) != n:
             raise ValueError("vertex_ids must be distinct")
-        w.setflags(write=False)
+        for part in (w.data, w.indices, w.indptr):
+            part.setflags(write=False)
         with np.errstate(over="ignore"):
             # an overflow to inf is reported just below
             deg = w.sum(axis=1)
@@ -153,20 +139,30 @@ class WeightedGraph:
         # finite volume that is zero or a normal float
         if not (volume == 0.0 or np.finfo(float).tiny <= volume < np.inf):
             raise ValueError(f"total volume {volume!r} is outside the normal float range")
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "csr", w)
         object.__setattr__(self, "vertex_ids", ids)
         object.__setattr__(self, "degrees", deg)
         object.__setattr__(self, "total_volume", volume)
 
     @property
+    def weights(self) -> np.ndarray:
+        """Read-only dense copy of W, made on each read (n^2 doubles)."""
+        w = self.csr.toarray()
+        w.setflags(write=False)
+        return w
+
+    @property
     def n(self) -> int:
-        return self.weights.shape[0]
+        return self.csr.shape[0]
 
     def normalize_volume(self) -> "WeightedGraph":
         """Scale all weights so the total volume (sum of degrees) equals 1."""
         if self.total_volume <= 0.0:
             raise ZeroVolume("cannot normalize a graph with zero total volume")
-        return WeightedGraph._adopt(self.weights / self.total_volume, self.vertex_ids)
+        # per-entry division: scipy's csr / scalar multiplies by the reciprocal
+        w = self.csr
+        return WeightedGraph(csr_array((w.data / self.total_volume, w.indices, w.indptr),
+                                       shape=w.shape), self.vertex_ids)
 
     def volume(self, indices) -> float:
         idx = vertex_subset(indices, self.n)
@@ -182,7 +178,7 @@ class WeightedGraph:
         ri = vertex_subset(right, self.n)
         if li.size == 0 or ri.size == 0:
             return 0.0
-        return float(self.weights[np.ix_(li, ri)].sum())
+        return float(self.csr[li][:, ri].sum())
 
     def relative_density(self, left, right) -> float:
         """Cut weight divided by the product of the two subset volumes."""
@@ -195,24 +191,19 @@ class WeightedGraph:
         return self.weighted_cut(li, ri) / (vl * vr)
 
     @cached_property
-    def _csr(self) -> csr_array:
-        """CSR view of the weights, built on first use."""
-        return _csr_view(self.weights)
-
-    @cached_property
     def _max_weight(self) -> float:
         """Largest weight (0.0 when there is none), found on first use."""
-        return float(self.weights.max(initial=0.0))
+        return float(self.csr.data.max(initial=0.0))
 
     @cached_property
     def _components(self) -> tuple[int, np.ndarray]:
         """Component count and per-vertex labels, computed on first use.
 
         W is symmetric, so the strong components of the directed graph on
-        the CSR view are the connected components; unlike the undirected
-        search, this one needs no transposed copy of the view.
+        the CSR array are the connected components; unlike the undirected
+        search, this one needs no transposed copy of the array.
         """
-        count, labels = connected_components(self._csr, directed=True, connection="strong")
+        count, labels = connected_components(self.csr, directed=True, connection="strong")
         labels.setflags(write=False)
         return count, labels
 
@@ -233,7 +224,13 @@ class WeightedGraph:
     def induced_subgraph(self, indices) -> "WeightedGraph":
         idx = vertex_subset(indices, self.n)
         ids = tuple(self.vertex_ids[i] for i in idx)
-        return WeightedGraph._adopt(_slot_weights(self.weights, idx), ids)
+        return WeightedGraph(self._gather(idx), ids)
+
+    def _gather(self, slots: np.ndarray) -> csr_array:
+        """CSR array of ``W[s_i, s_j]`` over the slots, gathered by rows, then
+        columns; two copies of one vertex stay unlinked, as W's diagonal is
+        empty."""
+        return self.csr[slots][:, slots]
 
 
 def _check_lines(text: str, stop: int | None = None) -> NoReturn:
@@ -293,7 +290,7 @@ def load_edge_list(text: str) -> WeightedGraph:
     tabs = np.fromiter(map(str.count, lines, repeat("\t")), dtype=np.intp, count=m)
     if (tabs != 2).any():
         _check_lines(text, int(np.argmax(tabs != 2)) + 1)
-    # each parsed list is dropped once used, before the n x n matrix exists
+    # each parsed list is dropped once used, before the CSR array is built
     fields = "\t".join(lines).split("\t")
     del lines
     us = list(map(str.strip, fields[0::3]))
@@ -324,10 +321,8 @@ def load_edge_list(text: str) -> WeightedGraph:
     bad |= repeated
     if bad.any():
         _check_lines(text, int(np.argmax(bad)) + 1)
-    weights = np.zeros((n, n))
-    weights[iu, iv] = w
-    weights[iv, iu] = w
-    return WeightedGraph._adopt(weights, ids)
+    both = (np.concatenate([iu, iv]), np.concatenate([iv, iu]))
+    return WeightedGraph(coo_array((np.concatenate([w, w]), both), shape=(n, n)), ids)
 
 
 def _check_dump_label(label: str) -> None:
@@ -357,10 +352,11 @@ def dump_edge_list(g: WeightedGraph) -> str:
     with leading or trailing whitespace, or starting with ``#``.
     """
     lines = []
-    upper = np.triu(g.weights, k=1)
-    rows, cols = np.nonzero(upper)
+    # row-major, as the CSR array's indices are sorted
+    upper = triu(g.csr, k=1, format="coo")
+    rows, cols = upper.coords
     for i in np.unique(np.concatenate([rows, cols])):
         _check_dump_label(g.vertex_ids[i])
-    for i, j in zip(rows, cols):
-        lines.append(f"{g.vertex_ids[i]}\t{g.vertex_ids[j]}\t{float(g.weights[i, j])!r}")
+    for i, j, w in zip(rows, cols, upper.data):
+        lines.append(f"{g.vertex_ids[i]}\t{g.vertex_ids[j]}\t{float(w)!r}")
     return "\n".join(lines) + ("\n" if lines else "")

@@ -39,7 +39,7 @@ def normalized_cut_value(g: WeightedGraph, p: Partition) -> float:
     z = normalized_partition_vectors(g, p)
     y = np.sqrt(g.degrees)[:, None] * z
     inv = 1.0 / np.sqrt(g.degrees)
-    ny = inv[:, None] * (g.weights @ (inv[:, None] * y))
+    ny = inv[:, None] * (g.csr @ (inv[:, None] * y))
     return float(np.trace(y.T @ y) - np.trace(y.T @ ny))
 
 

@@ -243,7 +243,7 @@ def volume_regularity_alpha(g: WeightedGraph, cluster_a, cluster_b, *,
         raise ZeroVolume("clusters must have positive volume")
     rho = g.relative_density(ai, bi)
     denom = vol_a if same else float(np.sqrt(vol_a * vol_b))
-    c = g.weights[np.ix_(ai, bi)] - rho * np.outer(g.degrees[ai], g.degrees[bi])
+    c = g.csr[ai][:, bi].toarray() - rho * np.outer(g.degrees[ai], g.degrees[bi])
     if samples is None:
         best, rsel, csel = cut_norm_exact(c)
         return best / denom, (ai[rsel], bi[csel])

@@ -26,7 +26,7 @@ import math
 import numpy as np
 
 from .errors import BadK, BadSize, Disconnected, NoGap, WeightsNotProbabilities, ZeroVolume
-from .graph import WeightedGraph, _slot_weights
+from .graph import WeightedGraph
 from .clustering import representatives, weighted_kmeans
 from .generators import _link, blow_up
 from .spectral import spectral_decomposition
@@ -73,7 +73,7 @@ def sample_subgraph(g: WeightedGraph, m: int, seed: int) -> tuple[WeightedGraph,
         raise ZeroVolume("cannot sample from a zero-volume graph")
     rng = np.random.Generator(np.random.PCG64(seed))
     slots = rng.choice(g.n, size=m, replace=True, p=g.degrees / g.total_volume).astype(np.intp)
-    return WeightedGraph._adopt(_link(_slot_weights(g.weights, slots), rng)), slots
+    return WeightedGraph(_link(g._gather(slots).toarray(), rng)), slots
 
 
 def _check_schedule(g: WeightedGraph, schedule, trials: int) -> list[int]:

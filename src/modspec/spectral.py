@@ -46,6 +46,9 @@ SPARSE_MIN_N = 1200
 SPARSE_MAX_FILL = 0.2
 # seed of eigsh's start vector and of the vectors it restarts from
 ARPACK_SEED = 0
+# nonzero weights scaled at once while the dense block is filled: their
+# temporaries stay a small fraction of the block
+_BLOCK_WEIGHTS = 1 << 15
 
 
 def _root_degrees(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
@@ -65,16 +68,35 @@ def _block(g: WeightedGraph, size: int) -> np.ndarray:
     """The leading ``size`` x ``size`` block of N, exactly symmetric.
 
     Entries are w_ij / sqrt(d_i d_j), with d scaled by one power of two,
-    which is exact and keeps the products finite.
+    which is exact and keeps the products finite.  Only the nonzero weights
+    are scaled, read from the CSR array in runs of rows that hold at most
+    _BLOCK_WEIGHTS of them, and written into a zeroed block, so no other
+    square array exists.
     """
     # ldexp, not a multiplication by 2.0 ** -e: for subnormal degrees that
     # power is out of the float range
     e = -int(np.frexp(g.degrees.max())[1])
-    deg = np.ldexp(g.degrees, e)
-    block = np.outer(deg[:size], deg[:size])
-    np.sqrt(block, out=block)
-    np.divide(g.weights[:size, :size], block, out=block)
-    np.ldexp(block, e, out=block)
+    deg = np.ldexp(g.degrees[:size], e)
+    indptr, indices, data = g.csr.indptr, g.csr.indices, g.csr.data
+    block = np.zeros((size, size))
+    flat = block.reshape(-1)
+    lo = 0
+    while lo < size:
+        hi = int(np.searchsorted(indptr, indptr[lo] + _BLOCK_WEIGHTS, side="right")) - 1
+        hi = min(max(hi, lo + 1), size)
+        span = slice(indptr[lo], indptr[hi])
+        i = np.repeat(np.arange(lo, hi), np.diff(indptr[lo:hi + 1]))
+        j = indices[span]
+        keep = j < size
+        i, j, w = i[keep], j[keep], data[span][keep]
+        root = deg[i]
+        root *= deg[j]
+        np.sqrt(root, out=root)
+        w /= root
+        i *= size
+        i += j
+        flat[i] = np.ldexp(w, e, out=w)
+        lo = hi
     return block
 
 
@@ -417,7 +439,7 @@ def spectral_decomposition(g: WeightedGraph, leading: int | None = None,
     so the reflector P = I - beta v v^T with v = q + e_n maps q to -e_n and
     P M P = diag(B, 0), B the leading (n-1) x (n-1) block of P N P; 0 joins
     B's eigenvalues as the last position of the absolute-value order.  Both
-    residuals are checked through x -> N x - q (q^T x) on the CSR view of W.
+    residuals are checked through x -> N x - q (q^T x) on the CSR array of W.
 
     ``values`` (None: all n) bounds the eigenvalues the caller reads: the
     first max(values, leading, 1) = t positions of each order and, when
@@ -441,7 +463,7 @@ def spectral_decomposition(g: WeightedGraph, leading: int | None = None,
     q, inv_root = _root_degrees(g)
     v = np.append(q[:-1], q[-1] + 1.0)
     beta = 1.0 / v[-1]
-    csr = g._csr
+    csr = g.csr
 
     def apply_n(x):
         # N x for a vector or a block of columns
@@ -490,9 +512,9 @@ def spectral_decomposition(g: WeightedGraph, leading: int | None = None,
         vectors = map_back(y[:, order[:r]], np.empty((n, r)))
         return _checked(lambdas, vals[order], ranks[order], vectors, q, apply, n, unsolved)
     block = _block(g, n - 1)
-    # w = beta N v = beta (q + N e_n) from W's last column; then
-    # P N P = N - v z^T - z v^T
-    w = beta * (q + g.weights[:, -1] * inv_root * inv_root[-1])
+    # w = beta N v = beta (q + N e_n) from W's last column, read as its last
+    # row; then P N P = N - v z^T - z v^T
+    w = beta * (q + csr[n - 1].toarray() * inv_root * inv_root[-1])
     z = w - (0.5 * beta * (v @ w)) * v
     blas.dsyr2(-1.0, v[:-1], z[:-1], lower=1, a=block.T, overwrite_a=1)
     rb = min(r, n - 1)
