@@ -67,16 +67,23 @@ def _root_degrees(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
 def _block(g: WeightedGraph, size: int) -> np.ndarray:
     """The leading ``size`` x ``size`` block of N, exactly symmetric.
 
-    Entries are w_ij / sqrt(d_i d_j), with d scaled by one power of two,
-    which is exact and keeps the products finite.  Only the nonzero weights
-    are scaled, read from the CSR array in runs of rows that hold at most
-    _BLOCK_WEIGHTS of them, and written into a zeroed block, so no other
-    square array exists.
+    Entries are w_ij / sqrt(d_i d_j), with w and d scaled by one power of
+    two, which is exact and keeps the block invariant under such a scale of
+    W.  The product d_i d_j is never formed, as it underflows when the
+    degrees span more than the float range between them: each scaled degree
+    is split as m 2^(2y) with m in [0.5, 2), so the root is that of m_i m_j,
+    which stays normal, times 2^(y_i + y_j), taken out of w exactly.
+    Wherever d_i d_j is normal, every entry keeps the bits of the plain
+    formula.  Only the nonzero weights are scaled, read from the CSR array
+    in runs of rows that hold at most _BLOCK_WEIGHTS of them, and written
+    into a zeroed block, so no other square array exists.
     """
     # ldexp, not a multiplication by 2.0 ** -e: for subnormal degrees that
     # power is out of the float range
     e = -int(np.frexp(g.degrees.max())[1])
-    deg = np.ldexp(g.degrees[:size], e)
+    m, x = np.frexp(np.ldexp(g.degrees[:size], e))
+    y = x >> 1
+    m = np.ldexp(m, x & 1)
     indptr, indices, data = g.csr.indptr, g.csr.indices, g.csr.data
     block = np.zeros((size, size))
     flat = block.reshape(-1)
@@ -89,13 +96,14 @@ def _block(g: WeightedGraph, size: int) -> np.ndarray:
         j = indices[span]
         keep = j < size
         i, j, w = i[keep], j[keep], data[span][keep]
-        root = deg[i]
-        root *= deg[j]
+        root = m[i]
+        root *= m[j]
         np.sqrt(root, out=root)
+        np.ldexp(w, e - y[i] - y[j], out=w)
         w /= root
         i *= size
         i += j
-        flat[i] = np.ldexp(w, e, out=w)
+        flat[i] = w
         lo = hi
     return block
 

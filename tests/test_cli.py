@@ -293,6 +293,19 @@ def test_weight_scales_at_the_ends_of_the_float_range(tmp_path, capsys):
             assert f"ValueError: total volume {volume} " in err
 
 
+def test_degrees_spanning_more_than_the_float_range(tmp_path, capsys):
+    # on the longer path d_c d_d = 4e-340 underflows to 0 inside the
+    # deflated block
+    for n in (4, 5):
+        path = tmp_path / "span.tsv"
+        path.write_text("a\tb\t1\n" + "".join(f"{u}\t{v}\t1e-170\n" for u, v in
+                                               zip("bcd", "cde"[:n - 2])))
+        code, out, err = run(capsys, "spectrum", str(path))
+        assert code == 0 and err == ""
+        lambdas = json.loads(out)["spectrum"]["lambdas"]
+        assert len(lambdas) == n and np.isfinite(lambdas).all()
+
+
 def test_largest_component_flag(tmp_path, capsys):
     path = tmp_path / "disc.tsv"
     path.write_text("a\tb\t1.0\nc\td\t1.0\nd\te\t1.0\n")

@@ -4,8 +4,9 @@ from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_array
 
 from modspec import (
     DuplicateEdge,
@@ -19,6 +20,7 @@ from modspec import (
     vertex_subset,
 )
 from modspec.graph import default_vertex_ids
+from modspec.sampling import sample_subgraph
 from modspec.spectral import spectral_decomposition
 
 
@@ -513,6 +515,37 @@ def test_graph_memory_is_linear_in_the_edges():
     assert peak < 0.1 * 8 * n * n, f"peak {peak / (8 * n * n):.3f} n^2 doubles"
 
 
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_every_construction_gives_the_same_graph(data):
+    n = data.draw(st.integers(2, 8))
+    upper = data.draw(st.lists(st.sampled_from([0.0, 0.0, -0.0, 1.0, 0.1, 0.7, 1e-300]),
+                               min_size=n * n, max_size=n * n))
+    w = np.triu(np.array(upper).reshape(n, n), k=1)
+    w = w + w.T
+    assume((w > 0).any(axis=1).all())
+    dense = WeightedGraph(w)
+    graphs = (WeightedGraph(csr_array(w)), load_edge_list(dump_edge_list(dense)))
+    ref = w.sum(axis=1)
+    assert np.all(np.abs(dense.degrees - ref) <= n * np.finfo(float).eps * ref)
+    connected = dense.is_connected()
+    for g in graphs:
+        assert g.vertex_ids == dense.vertex_ids
+        assert g.weights.tobytes() == dense.weights.tobytes()
+        assert g.degrees.tobytes() == dense.degrees.tobytes()
+        assert g.total_volume == dense.total_volume
+        assert g._components[0] == dense._components[0]
+        assert np.array_equal(g._components[1], dense._components[1])
+        for seed in (0, 1):
+            sub, slots = sample_subgraph(g, 2 * n, seed)
+            ref_sub, ref_slots = sample_subgraph(dense, 2 * n, seed)
+            assert np.array_equal(slots, ref_slots)
+            assert sub.weights.tobytes() == ref_sub.weights.tobytes()
+        if connected:
+            assert (spectral_decomposition(g).lambdas.tobytes()
+                    == spectral_decomposition(dense).lambdas.tobytes())
+
+
 def test_first_connectivity_check_peaks_below_two_squares():
     # complete random weights: the CSR view itself holds 1.5 n^2 doubles
     # (values plus 32-bit indices); the old csr_matrix(weights > 0) build
@@ -545,7 +578,6 @@ def test_constructor_copies_a_caller_array():
 
 def test_derived_graphs_are_frozen():
     from modspec.generators import blow_up
-    from modspec.sampling import sample_subgraph
     
     g = load_edge_list("a\tb\t0.5\nb\tc\t0.25\na\tc\t1.0\n")
     derived = [g, g.induced_subgraph([0, 2]), g.normalize_volume(), blow_up(g, 2),
