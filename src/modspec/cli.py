@@ -117,16 +117,12 @@ def _decompose(g: WeightedGraph, args, k: int):
     return spectral_decomposition(g, leading=max(k - 1, 0), values=values, eps=eps)
 
 
-def _trivial_partition(g: WeightedGraph) -> Partition:
-    return Partition.from_labels(np.zeros(g.n, dtype=np.intp), 1, g.degrees)
-
-
 def _cluster_blocks(g: WeightedGraph, dec, k: int, seed: int, restarts: int):
     # k = 1 never reaches weighted_kmeans, which checks this for k >= 2
     if restarts < 1:
         raise ValueError(f"restarts={restarts} must be >= 1")
     if k == 1:
-        part = _trivial_partition(g)
+        part = Partition.from_labels(np.zeros(g.n, dtype=np.intp), 1, g.degrees)
         value = 0.0
     else:
         reps = representatives(dec, g, k)
@@ -256,8 +252,7 @@ def cmd_generate(args) -> int:
     text = dump_edge_list(g)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(text)
-    edges = g.csr.nnz // 2
-    print(f"n={g.n} edges={edges} -> {args.output}", file=sys.stderr)
+    print(f"n={g.n} edges={g.csr.nnz // 2} -> {args.output}", file=sys.stderr)
     return 0
 
 

@@ -1,9 +1,11 @@
 """Graph generators: block models, deterministic families, vertex blow-ups.
 
-Block models (the complete, bipartite and two-clique families included) and
-blow-ups gather pair weights over slots with ``graph._slot_weights``; random
-graphs link them with :func:`_link`, one seeded PCG64 uniform per pair, so a
-(model, seed) pair yields the same graph on every platform.
+Block models (the complete, bipartite and two-clique families included)
+gather their block probabilities over the vertices into a dense array with
+:func:`_slot_weights`; random graphs link it with :func:`_link`, one seeded
+PCG64 uniform per pair, so a (model, seed) pair yields the same graph on
+every platform.  A blow-up gathers the graph's CSR array over repeated
+vertices.  Every graph is made by the one ``WeightedGraph`` constructor.
 """
 from __future__ import annotations
 
@@ -53,9 +55,7 @@ class BlockModel:
 
 
 def _slot_weights(probs: np.ndarray, slots: np.ndarray) -> np.ndarray:
-    """Dense ``probs[s_i, s_j]`` over the slots with a zero diagonal; two
-    slots of one block are joined by ``probs[s, s]``."""
-    # two takes beat one np.ix_ gather three- to fourfold
+    """Dense ``probs[s_i, s_j]`` over the slots with a zero diagonal."""
     w = probs.take(slots, axis=0).take(slots, axis=1)
     np.fill_diagonal(w, 0.0)
     return w

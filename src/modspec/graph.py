@@ -28,8 +28,8 @@ from .errors import (
 )
 
 
-# cells per row block when a dense array is converted to CSR or back: the
-# block's temporaries stay small next to an n^2 array
+# cells per row block when a dense array is converted to CSR: the block's
+# temporaries stay small next to the n^2 array
 _CSR_BLOCK_CELLS = 1 << 16
 
 
@@ -40,12 +40,9 @@ def default_vertex_ids(n: int) -> tuple[str, ...]:
 
 
 def _csr_view(weights: np.ndarray) -> csr_array:
-    """CSR copy of the nonzero entries of a square array, built in row blocks.
-
-    The rows are counted first, then each block of rows fills its share of
-    the CSR arrays; no index array over all nonzeros exists besides the CSR
-    one, whose indices are 32-bit when they fit.
-    """
+    """CSR copy of a square array's nonzero entries: the rows are counted,
+    then each block of rows fills its share, so no index array over all
+    nonzeros exists besides the CSR one (32-bit when it fits)."""
     n = weights.shape[0]
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.count_nonzero(weights, axis=1), out=indptr[1:])
@@ -100,13 +97,12 @@ class WeightedGraph:
     total_volume: float = field(repr=False)
 
     def __init__(self, weights, vertex_ids=()):
-        sparse = issparse(weights)
-        if not sparse:
+        if not issparse(weights):
             weights = np.asarray(weights, dtype=float)
         if weights.ndim != 2 or weights.shape[0] != weights.shape[1]:
             raise ValueError("weight matrix must be square")
         n = weights.shape[0]
-        if sparse:
+        if issparse(weights):
             w = csr_array(weights, dtype=float, copy=True)
             w.sum_duplicates()
             w.eliminate_zeros()
@@ -182,13 +178,10 @@ class WeightedGraph:
 
     def relative_density(self, left, right) -> float:
         """Cut weight divided by the product of the two subset volumes."""
-        li = vertex_subset(left, self.n)
-        ri = vertex_subset(right, self.n)
-        vl = self.volume(li)
-        vr = self.volume(ri)
+        vl, vr = self.volume(left), self.volume(right)
         if vl <= 0.0 or vr <= 0.0:
             raise ZeroVolume("relative density needs both subsets to have positive volume")
-        return self.weighted_cut(li, ri) / (vl * vr)
+        return self.weighted_cut(left, right) / (vl * vr)
 
     @cached_property
     def _max_weight(self) -> float:
@@ -199,9 +192,8 @@ class WeightedGraph:
     def _components(self) -> tuple[int, np.ndarray]:
         """Component count and per-vertex labels, computed on first use.
 
-        W is symmetric, so the strong components of the directed graph on
-        the CSR array are the connected components; unlike the undirected
-        search, this one needs no transposed copy of the array.
+        W is symmetric, so its strong components are the connected ones;
+        unlike the undirected search, this one needs no transposed copy.
         """
         count, labels = connected_components(self.csr, directed=True, connection="strong")
         labels.setflags(write=False)
@@ -227,9 +219,7 @@ class WeightedGraph:
         return WeightedGraph(self._gather(idx), ids)
 
     def _gather(self, slots: np.ndarray) -> csr_array:
-        """CSR array of ``W[s_i, s_j]`` over the slots, gathered by rows, then
-        columns; two copies of one vertex stay unlinked, as W's diagonal is
-        empty."""
+        """CSR array of ``W[s_i, s_j]`` over the slots, rows gathered first."""
         return self.csr[slots][:, slots]
 
 

@@ -36,10 +36,7 @@ def _bit_table(n: int) -> np.ndarray:
 
 def mixing_discrepancy(g: WeightedGraph, left, right) -> float:
     """|cut weight minus product of volumes| for a volume-normalized graph."""
-    li = vertex_subset(left, g.n)
-    ri = vertex_subset(right, g.n)
-    cut = g.weighted_cut(li, ri)
-    return abs(cut - g.volume(li) * g.volume(ri))
+    return abs(g.weighted_cut(left, right) - g.volume(left) * g.volume(right))
 
 
 def verify_mixing(g: WeightedGraph, *, samples: int | None = None,

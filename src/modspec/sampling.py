@@ -1,21 +1,16 @@
 """Degree-proportional vertex sampling and convergence experiments.
 
 A sample keeps m slots drawn i.i.d. with probabilities d_i / Vol; repeated
-vertices stay distinct slots.  Slot pairs link with probability equal to the
-original edge weight (zero for copies of one vertex, since diagonals are
-zero) through the gather and linker of :func:`generalized_random_graph`, so
-a sample is a W-random graph of the weighted graph.  :func:`sample_subgraph`
-returns it as a ``(graph, slots)`` pair, the shape in which
-``generalized_random_graph`` returns ``(graph, blocks)``.  It is the only
-draw; its check that W holds probabilities reads the largest weight, which
-the graph caches, so W is scanned once per graph, not once per draw.
-Experiments call it for every (m, trial), measure each draw's
-``largest_component()``, which is the draw itself when it is connected,
-record the coverage fraction (its vertex count over m), and flag rows with
-coverage below 0.9 instead of dropping them.
-
-Per-trial seeds derive from (seed, m, trial) through numpy's SeedSequence,
-so a trial's row does not depend on the rest of the schedule.
+vertices stay distinct slots.  Its weights are gathered from the graph's CSR
+array, rows then columns (zero for copies of one vertex, as the diagonal is
+empty), and linked by the Bernoulli linker of :func:`generalized_random_graph`,
+so a sample is a W-random graph of the weighted graph.
+:func:`sample_subgraph` is the only draw and returns ``(graph, slots)``; its
+check that W holds probabilities reads the graph's cached largest weight.
+Experiments measure each draw's ``largest_component()`` for every (m, trial)
+and flag rows whose coverage (its vertex count over m) is below 0.9 instead
+of dropping them.  Per-trial seeds derive from (seed, m, trial) through
+numpy's SeedSequence, so a row does not depend on the rest of the schedule.
 """
 from __future__ import annotations
 

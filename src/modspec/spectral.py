@@ -6,7 +6,9 @@ For a connected graph with positive degrees d the matrix is
 
 so its spectrum lies in [-1, 1], 0 is always an eigenvalue with eigenvector
 q, and the whole spectrum is invariant under rescaling all weights by a
-positive constant.  The graph path deflates q and never forms M.
+positive constant.  The graph path deflates q, never forms M, and reads W
+only from the graph's CSR array: the sparse path multiplies by it, the
+dense path scales its nonzero weights into the one block it solves.
 
 Eigenvectors are computed only for as many leading positions of the
 absolute-value order as the caller asks for.  Eigenvalues are all computed
@@ -46,8 +48,8 @@ SPARSE_MIN_N = 1200
 SPARSE_MAX_FILL = 0.2
 # seed of eigsh's start vector and of the vectors it restarts from
 ARPACK_SEED = 0
-# nonzero weights scaled at once while the dense block is filled: their
-# temporaries stay a small fraction of the block
+# nonzero weights scaled at once into the dense block: the temporaries stay
+# a small fraction of the block
 _BLOCK_WEIGHTS = 1 << 15
 
 
@@ -68,42 +70,29 @@ def _block(g: WeightedGraph, size: int) -> np.ndarray:
     """The leading ``size`` x ``size`` block of N, exactly symmetric.
 
     Entries are w_ij / sqrt(d_i d_j), with w and d scaled by one power of
-    two, which is exact and keeps the block invariant under such a scale of
-    W.  The product d_i d_j is never formed, as it underflows when the
-    degrees span more than the float range between them: each scaled degree
-    is split as m 2^(2y) with m in [0.5, 2), so the root is that of m_i m_j,
-    which stays normal, times 2^(y_i + y_j), taken out of w exactly.
-    Wherever d_i d_j is normal, every entry keeps the bits of the plain
-    formula.  Only the nonzero weights are scaled, read from the CSR array
-    in runs of rows that hold at most _BLOCK_WEIGHTS of them, and written
-    into a zeroed block, so no other square array exists.
+    two (exact, so the block is invariant under such a scale of W).  With
+    d = m 2^(2y), m in [0.5, 2), the root is sqrt(m_i m_j) 2^(y_i + y_j):
+    d_i d_j, which underflows when the degrees span more than the float
+    range, is never formed.  Only the nonzero weights are scaled, at most
+    _BLOCK_WEIGHTS at a time, into a zeroed block.
     """
     # ldexp, not a multiplication by 2.0 ** -e: for subnormal degrees that
     # power is out of the float range
     e = -int(np.frexp(g.degrees.max())[1])
     m, x = np.frexp(np.ldexp(g.degrees[:size], e))
-    y = x >> 1
-    m = np.ldexp(m, x & 1)
+    m, y = np.ldexp(m, x & 1), x >> 1
     indptr, indices, data = g.csr.indptr, g.csr.indices, g.csr.data
     block = np.zeros((size, size))
-    flat = block.reshape(-1)
     lo = 0
     while lo < size:
         hi = int(np.searchsorted(indptr, indptr[lo] + _BLOCK_WEIGHTS, side="right")) - 1
         hi = min(max(hi, lo + 1), size)
-        span = slice(indptr[lo], indptr[hi])
         i = np.repeat(np.arange(lo, hi), np.diff(indptr[lo:hi + 1]))
-        j = indices[span]
+        j = indices[indptr[lo]:indptr[hi]]
         keep = j < size
-        i, j, w = i[keep], j[keep], data[span][keep]
-        root = m[i]
-        root *= m[j]
-        np.sqrt(root, out=root)
-        np.ldexp(w, e - y[i] - y[j], out=w)
-        w /= root
-        i *= size
-        i += j
-        flat[i] = w
+        i, j = i[keep], j[keep]
+        w = np.ldexp(data[indptr[lo]:indptr[hi]][keep], e - y[i] - y[j])
+        block.ravel()[i * size + j] = w / np.sqrt(m[i] * m[j])
         lo = hi
     return block
 
@@ -520,8 +509,8 @@ def spectral_decomposition(g: WeightedGraph, leading: int | None = None,
         vectors = map_back(y[:, order[:r]], np.empty((n, r)))
         return _checked(lambdas, vals[order], ranks[order], vectors, q, apply, n, unsolved)
     block = _block(g, n - 1)
-    # w = beta N v = beta (q + N e_n) from W's last column, read as its last
-    # row; then P N P = N - v z^T - z v^T
+    # w = beta N v = beta (q + N e_n) from W's last row (its last column);
+    # then P N P = N - v z^T - z v^T
     w = beta * (q + csr[n - 1].toarray() * inv_root * inv_root[-1])
     z = w - (0.5 * beta * (v @ w)) * v
     blas.dsyr2(-1.0, v[:-1], z[:-1], lower=1, a=block.T, overwrite_a=1)
