@@ -52,11 +52,11 @@ def _csr_view(weights: np.ndarray) -> csr_array:
     indices = np.empty(indptr[-1], dtype=itype)
     step = max(1, _CSR_BLOCK_CELLS // max(n, 1))
     for lo in range(0, n, step):
-        block = weights[lo:lo + step]
-        rows, cols = np.nonzero(block)
-        span = slice(indptr[lo], indptr[lo + block.shape[0]])
-        data[span] = block[rows, cols]
-        indices[span] = cols
+        block = weights[lo:lo + step].ravel()
+        flat = np.flatnonzero(block)
+        span = slice(indptr[lo], indptr[lo] + flat.size)
+        data[span] = block[flat]
+        indices[span] = flat % n
     return csr_array((data, indices, indptr), shape=(n, n))
 
 
