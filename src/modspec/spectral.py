@@ -85,7 +85,7 @@ def _block(g: WeightedGraph, size: int) -> np.ndarray:
     block = np.zeros((size, size))
     lo = 0
     while lo < size:
-        hi = int(np.searchsorted(indptr, indptr[lo] + _BLOCK_WEIGHTS, side="right")) - 1
+        hi = int(np.searchsorted(indptr, int(indptr[lo]) + _BLOCK_WEIGHTS, side="right")) - 1
         hi = min(max(hi, lo + 1), size)
         i = np.repeat(np.arange(lo, hi), np.diff(indptr[lo:hi + 1]))
         j = indices[indptr[lo]:indptr[hi]]
