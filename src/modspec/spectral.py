@@ -509,9 +509,9 @@ def spectral_decomposition(g: WeightedGraph, leading: int | None = None,
         vectors = map_back(y[:, order[:r]], np.empty((n, r)))
         return _checked(lambdas, vals[order], ranks[order], vectors, q, apply, n, unsolved)
     block = _block(g, n - 1)
-    # w = beta N v = beta (q + N e_n) from W's last row (its last column);
-    # then P N P = N - v z^T - z v^T
-    w = beta * (q + csr[n - 1].toarray() * inv_root * inv_root[-1])
+    # w = beta N v = beta (q + N e_n) from W e_n, W's last column; then
+    # P N P = N - v z^T - z v^T
+    w = beta * (q + (csr @ np.eye(1, n, n - 1)[0]) * inv_root * inv_root[-1])
     z = w - (0.5 * beta * (v @ w)) * v
     blas.dsyr2(-1.0, v[:-1], z[:-1], lower=1, a=block.T, overwrite_a=1)
     rb = min(r, n - 1)
