@@ -578,7 +578,7 @@ def test_constructor_copies_a_caller_array():
 
 def test_derived_graphs_are_frozen():
     from modspec.generators import blow_up
-    
+
     g = load_edge_list("a\tb\t0.5\nb\tc\t0.25\na\tc\t1.0\n")
     derived = [g, g.induced_subgraph([0, 2]), g.normalize_volume(), blow_up(g, 2),
                sample_subgraph(g, 5, seed=1)[0]]
