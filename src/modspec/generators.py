@@ -1,11 +1,14 @@
 """Graph generators: block models, deterministic families, vertex blow-ups.
 
-Block models (the complete, bipartite and two-clique families included)
-gather their block probabilities over the vertices into a dense array with
-:func:`_slot_weights`; random graphs link it with :func:`_link`, one seeded
-PCG64 uniform per pair, so a (model, seed) pair yields the same graph on
-every platform.  A blow-up gathers the graph's CSR array over repeated
-vertices.  Every graph is made by the one ``WeightedGraph`` constructor.
+Block models (the complete, bipartite and two-clique families included) and
+samples are made by one linker, :func:`_link`: a block of rows at a time, it
+keeps the pairs i < j of those rows and emits them with their mirror images
+as one COO array, so no n x n array is made.  A random pair links when its
+uniform, the next from one seeded PCG64 ``random((n, n))`` stream, falls
+below its weight, so a (model, seed) pair yields the same graph on every
+platform and for any block size.  A blow-up gathers the graph's CSR array
+over repeated vertices.  Every graph is made by the one ``WeightedGraph``
+constructor.
 """
 from __future__ import annotations
 
@@ -13,6 +16,7 @@ import inspect
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import coo_array, diags_array
 
 from .errors import BadSize
 from .graph import WeightedGraph
@@ -54,18 +58,38 @@ class BlockModel:
         return np.repeat(np.arange(self.k), self.sizes)
 
 
-def _slot_weights(probs: np.ndarray, slots: np.ndarray) -> np.ndarray:
-    """Dense ``probs[s_i, s_j]`` over the slots with a zero diagonal."""
-    w = probs.take(slots, axis=0).take(slots, axis=1)
-    np.fill_diagonal(w, 0.0)
-    return w
+# pair weights per row block of the linker: its temporaries stay small next
+# to the n^2 pairs
+_BLOCK_CELLS = 1 << 18
 
 
-def _link(pair_probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Symmetric 0/1 float matrix linking each pair i < j whose uniform from
-    one ``rng.random(shape)`` draw falls below the pair's probability."""
-    upper = np.triu(rng.random(pair_probs.shape) < pair_probs, k=1)
-    return (upper | upper.T).astype(float)
+def _link(n: int, pair_weights, rng: np.random.Generator | None = None) -> coo_array:
+    """Symmetric n x n COO array of the pairs i < j, a block of rows at a time.
+
+    ``pair_weights(lo, hi)`` gives the dense weights of rows lo..hi-1 against
+    all n columns.  With ``rng`` a pair gets weight 1 when its uniform falls
+    below its weight, else it keeps the weight.  The mirror images come
+    first, so the columns of each row are sorted.
+    """
+    step = max(1, _BLOCK_CELLS // max(n, 1))
+    itype = np.int32 if n < 2**31 else np.int64
+    rows, cols, vals = [np.empty(0, itype)], [np.empty(0, itype)], [np.empty(0)]
+    for lo in range(0, n, step):
+        w = pair_weights(lo, min(lo + step, n))
+        if rng is not None:
+            w = rng.random(w.shape) < w
+        i, j = np.nonzero(np.triu(w, k=lo + 1))
+        rows.append((i + lo).astype(itype))
+        cols.append(j.astype(itype))
+        vals.append(w[i, j])
+    coords = (np.concatenate(cols + rows), np.concatenate(rows + cols))
+    return coo_array((np.concatenate(vals + vals), coords), shape=(n, n))
+
+
+def _block_weights(model: BlockModel):
+    """Pair weights of a block model's rows lo..hi-1, for :func:`_link`."""
+    blocks = model.block_of_vertex()
+    return lambda lo, hi: model.probs.take(blocks[lo:hi], axis=0).take(blocks, axis=1)
 
 
 def generalized_random_graph(model: BlockModel, seed: int) -> tuple[WeightedGraph, np.ndarray]:
@@ -74,10 +98,8 @@ def generalized_random_graph(model: BlockModel, seed: int) -> tuple[WeightedGrap
     Returns the graph and the planted block label of each vertex; the pairs
     are linked by :func:`_link` on a fresh PCG64 stream.
     """
-    blocks = model.block_of_vertex()
     rng = np.random.Generator(np.random.PCG64(seed))
-    w = _link(_slot_weights(model.probs, blocks), rng)
-    return WeightedGraph(w), blocks
+    return WeightedGraph(_link(model.n, _block_weights(model), rng)), model.block_of_vertex()
 
 
 def expected_block_graph(model: BlockModel) -> WeightedGraph:
@@ -86,8 +108,7 @@ def expected_block_graph(model: BlockModel) -> WeightedGraph:
     The diagonal is zero, so within-block weights follow the complete-graph
     pattern rather than adding self loops.
     """
-    w = _slot_weights(model.probs, model.block_of_vertex())
-    return WeightedGraph(w)
+    return WeightedGraph(_link(model.n, _block_weights(model)))
 
 
 def complete_graph(n: int) -> WeightedGraph:
@@ -105,7 +126,8 @@ def complete_bipartite(a: int, b: int) -> WeightedGraph:
 def path_graph(n: int) -> WeightedGraph:
     if n < 1:
         raise BadSize("path graph needs n >= 1")
-    return WeightedGraph(np.eye(n, k=1) + np.eye(n, k=-1))
+    ones = np.ones(n - 1)
+    return WeightedGraph(diags_array([ones, ones], offsets=[1, -1], shape=(n, n)))
 
 
 def two_cliques_bridge(m: int) -> WeightedGraph:
@@ -113,9 +135,8 @@ def two_cliques_bridge(m: int) -> WeightedGraph:
     if m < 1:
         raise BadSize("cliques need m >= 1")
     cliques = BlockModel((m, m), np.eye(2))
-    w = _slot_weights(cliques.probs, cliques.block_of_vertex())
-    w[m - 1, m] = w[m, m - 1] = 1.0
-    return WeightedGraph(w)
+    bridge = coo_array((np.ones(2), ([m - 1, m], [m, m - 1])), shape=(2 * m, 2 * m))
+    return WeightedGraph(_link(2 * m, _block_weights(cliques)) + bridge)
 
 
 _CLASSICAL = {

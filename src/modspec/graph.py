@@ -5,8 +5,9 @@ Vertex subsets are passed around as validated integer index arrays; use
 :func:`vertex_subset` to canonicalize caller-supplied collections.  A graph
 stores its weights once, as a read-only CSR array of the nonzero entries, so
 it costs O(n + nnz) memory and every reader in the package works on that
-array; ``weights`` hands out a dense copy for small graphs only.  The largest
-weight and the connected components are cached on first use.
+array; ``weights`` hands out a dense copy for small graphs only.  The parser
+and the generators hand the constructor COO arrays of their edges.  The
+largest weight and the connected components are cached on first use.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from itertools import repeat
 from typing import NoReturn
 
 import numpy as np
-from scipy.sparse import coo_array, csr_array, issparse, triu
+from scipy.sparse import coo_array, csr_array, triu
 from scipy.sparse.csgraph import connected_components
 
 from .errors import (
@@ -28,36 +29,10 @@ from .errors import (
 )
 
 
-# cells per row block when a dense array is converted to CSR: the block's
-# temporaries stay small next to the n^2 array
-_CSR_BLOCK_CELLS = 1 << 16
-
-
 def default_vertex_ids(n: int) -> tuple[str, ...]:
     """Generated labels v000..; zero padded so lexicographic order matches index order."""
     width = max(1, len(str(max(n - 1, 0))))
     return tuple(f"v{i:0{width}d}" for i in range(n))
-
-
-def _csr_view(weights: np.ndarray) -> csr_array:
-    """CSR copy of a square array's nonzero entries: the rows are counted,
-    then each block of rows fills its share, so no index array over all
-    nonzeros exists besides the CSR one (32-bit when it fits)."""
-    n = weights.shape[0]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.count_nonzero(weights, axis=1), out=indptr[1:])
-    itype = np.int32 if indptr[-1] < 2**31 else np.int64
-    indptr = indptr.astype(itype)
-    data = np.empty(indptr[-1])
-    indices = np.empty(indptr[-1], dtype=itype)
-    step = max(1, _CSR_BLOCK_CELLS // max(n, 1))
-    for lo in range(0, n, step):
-        block = weights[lo:lo + step].ravel()
-        flat = np.flatnonzero(block)
-        span = slice(indptr[lo], indptr[lo] + flat.size)
-        data[span] = block[flat]
-        indices[span] = flat % n
-    return csr_array((data, indices, indptr), shape=(n, n))
 
 
 def vertex_subset(indices, n: int) -> np.ndarray:
@@ -97,17 +72,12 @@ class WeightedGraph:
     total_volume: float = field(repr=False)
 
     def __init__(self, weights, vertex_ids=()):
-        if not issparse(weights):
-            weights = np.asarray(weights, dtype=float)
-        if weights.ndim != 2 or weights.shape[0] != weights.shape[1]:
+        w = csr_array(weights, dtype=float, copy=True)
+        if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ValueError("weight matrix must be square")
-        n = weights.shape[0]
-        if issparse(weights):
-            w = csr_array(weights, dtype=float, copy=True)
-            w.sum_duplicates()
-            w.eliminate_zeros()
-        else:
-            w = _csr_view(weights)
+        n = w.shape[0]
+        w.sum_duplicates()
+        w.eliminate_zeros()
         if not np.isfinite(w.data).all():
             raise ValueError("weights must be finite")
         if (w.data < 0).any():

@@ -1,10 +1,11 @@
 """Degree-proportional vertex sampling and convergence experiments.
 
 A sample keeps m slots drawn i.i.d. with probabilities d_i / Vol; repeated
-vertices stay distinct slots.  Its weights are gathered from the graph's CSR
+vertices stay distinct slots.  The generators' row-block linker links its
+slot pairs: each block of slot rows gathers its weights from the graph's CSR
 array, rows then columns (zero for copies of one vertex, as the diagonal is
-empty), and linked by the Bernoulli linker of :func:`generalized_random_graph`,
-so a sample is a W-random graph of the weighted graph.
+empty), so no m x m array is made and a sample is a W-random graph of the
+weighted graph.
 :func:`sample_subgraph` is the only draw and returns ``(graph, slots)``; its
 check that W holds probabilities reads the graph's cached largest weight.
 Experiments measure each draw's ``largest_component()`` for every (m, trial)
@@ -68,7 +69,8 @@ def sample_subgraph(g: WeightedGraph, m: int, seed: int) -> tuple[WeightedGraph,
         raise ZeroVolume("cannot sample from a zero-volume graph")
     rng = np.random.Generator(np.random.PCG64(seed))
     slots = rng.choice(g.n, size=m, replace=True, p=g.degrees / g.total_volume).astype(np.intp)
-    return WeightedGraph(_link(g._gather(slots).toarray(), rng)), slots
+    linked = _link(m, lambda lo, hi: g.csr[slots[lo:hi]][:, slots].toarray(), rng)
+    return WeightedGraph(linked), slots
 
 
 def _check_schedule(g: WeightedGraph, schedule, trials: int) -> list[int]:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import modspec.generators
 from modspec import (
     BadSize,
     BlockModel,
@@ -282,3 +283,23 @@ def test_builders_match_their_reference_recipes():
         c = classical(name, *args)
         _same_bytes(c.weights, _recipe_classical(name, *args))
         assert c.vertex_ids == default_vertex_ids(c.n)
+
+
+def test_row_blocks_do_not_change_the_bytes(monkeypatch):
+    # one row per block, then blocks of 5 rows (12 = 5 + 5 + 2) for the model
+    # and of 7 rows (40 = 5 * 7 + 5) for the sample: each block's triangle
+    # starts at its own first row
+    model = BlockModel((5, 3, 4), np.array([[0.6, 0.2, 0.1],
+                                            [0.2, 0.5, 0.3],
+                                            [0.1, 0.3, 0.7]]))
+
+    def builds():
+        base = expected_block_graph(model)
+        return (generalized_random_graph(model, 11)[0], base,
+                sample_subgraph(base, 40, 11)[0])
+
+    default = builds()
+    for cells in (1, 5 * model.n, 7 * 40):
+        monkeypatch.setattr(modspec.generators, "_BLOCK_CELLS", cells)
+        for g, ref in zip(builds(), default):
+            _same_bytes(g.weights, ref.weights)

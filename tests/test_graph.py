@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_array
 
 from modspec import (
+    BlockModel,
     DuplicateEdge,
     NegativeWeight,
     ParseError,
@@ -16,6 +17,7 @@ from modspec import (
     WeightedGraph,
     ZeroVolume,
     dump_edge_list,
+    generalized_random_graph,
     load_edge_list,
     vertex_subset,
 )
@@ -493,8 +495,8 @@ def test_csr_view_holds_exactly_the_nonzero_weights():
 
 
 def test_graph_memory_is_linear_in_the_edges():
-    # a ring plus 4n random pairs: n = 5000 and mean degree about 10, where
-    # one dense n x n array would take 200 MB
+    # a ring plus 4n random pairs, and a sparse 3-block model of mean degree
+    # about 20: n = 5000, where one dense n x n array would take 200 MB
     n = 5000
     rng = np.random.default_rng(23)
     ring = np.arange(n)
@@ -503,16 +505,21 @@ def test_graph_memory_is_linear_in_the_edges():
     keys = np.unique(np.minimum(u, v) * n + np.maximum(u, v))
     keys = keys[keys // n != keys % n]
     text = "".join(f"{a}\t{b}\t1\n" for a, b in zip(keys // n, keys % n))
-    tracemalloc.start()
-    try:
-        g = load_edge_list(text)
-        assert g.is_connected()
-        dec = spectral_decomposition(g, leading=2, values=3)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert g.n == n and dec.unsolved > 0
-    assert peak < 0.1 * 8 * n * n, f"peak {peak / (8 * n * n):.3f} n^2 doubles"
+    probs = np.full((3, 3), 0.001)
+    np.fill_diagonal(probs, 0.01)
+    model = BlockModel((1667, 1667, 1666), probs)
+    for build in (lambda: load_edge_list(text),
+                  lambda: generalized_random_graph(model, 23)[0]):
+        tracemalloc.start()
+        try:
+            g = build()
+            assert g.is_connected()
+            dec = spectral_decomposition(g, leading=2, values=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.n == n and dec.unsolved > 0
+        assert peak < 0.1 * 8 * n * n, f"peak {peak / (8 * n * n):.3f} n^2 doubles"
 
 
 @given(st.data())
