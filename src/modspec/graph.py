@@ -32,7 +32,7 @@ from .errors import (
 def default_vertex_ids(n: int) -> tuple[str, ...]:
     """Generated labels v000..; zero padded so lexicographic order matches index order."""
     width = max(1, len(str(max(n - 1, 0))))
-    return tuple(f"v{i:0{width}d}" for i in range(n))
+    return tuple(map(("v%0" + str(width) + "d").__mod__, range(n)))
 
 
 def vertex_subset(indices, n: int) -> np.ndarray:
@@ -63,7 +63,8 @@ class WeightedGraph:
     The constructor takes a dense array-like or a scipy sparse array and
     copies its nonzero entries (zeros of either sign are dropped) into a CSR
     array with sorted indices, which it checks in O(nnz) and freezes; degree
-    sums are cached.  All methods treat the graph as undirected.
+    sums are cached.  Only labels the caller passes are checked.  All methods
+    treat the graph as undirected.
     """
 
     csr: csr_array
@@ -89,11 +90,14 @@ class WeightedGraph:
             raise ValueError("weight matrix must be symmetric")
         if w.diagonal().any():
             raise SelfLoop("nonzero diagonal entry in weight matrix")
-        ids = tuple(str(v) for v in vertex_ids) if vertex_ids else default_vertex_ids(n)
-        if len(ids) != n:
-            raise ValueError("vertex_ids length must match matrix size")
-        if len(set(ids)) != n:
-            raise ValueError("vertex_ids must be distinct")
+        if vertex_ids:
+            ids = tuple(str(v) for v in vertex_ids)
+            if len(ids) != n:
+                raise ValueError("vertex_ids length must match matrix size")
+            if len(set(ids)) != n:
+                raise ValueError("vertex_ids must be distinct")
+        else:
+            ids = default_vertex_ids(n)
         for part in (w.data, w.indices, w.indptr):
             part.setflags(write=False)
         with np.errstate(over="ignore"):
