@@ -58,8 +58,8 @@ class BlockModel:
         return np.repeat(np.arange(self.k), self.sizes)
 
 
-# pair weights per row block of the linker: its temporaries stay small next
-# to the n^2 pairs
+# pairs per row block of the linker, so its temporaries stay small next to
+# the n^2 pairs
 _BLOCK_CELLS = 1 << 18
 
 

@@ -286,9 +286,9 @@ def test_builders_match_their_reference_recipes():
 
 
 def test_row_blocks_do_not_change_the_bytes(monkeypatch):
-    # one row per block, then blocks of 5 rows (12 = 5 + 5 + 2) for the model
-    # and of 7 rows (40 = 5 * 7 + 5) for the sample: each block's triangle
-    # starts at its own first row
+    # one row per block; then blocks of 5 model rows (12 = 5 + 5 + 2); then
+    # blocks of 7 sample rows (40 = 5 * 7 + 5): each block's triangle starts
+    # right of its own diagonal
     model = BlockModel((5, 3, 4), np.array([[0.6, 0.2, 0.1],
                                             [0.2, 0.5, 0.3],
                                             [0.1, 0.3, 0.7]]))
