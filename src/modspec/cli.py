@@ -1,9 +1,11 @@
 """Command line front end: analysis commands, generators, experiment drivers.
 
-Single-shot analyses emit JSON with keys in the order input, spectrum,
-clustering, regularity; sweep experiments emit CSV.  All numbers are printed
-with 17 significant digits so reports parse back to the exact float values
-and reruns with identical flags are byte-identical.  Exit codes: 0 success,
+The analyses spectrum, cluster and regularity run one pipeline and emit
+JSON; each report is the previous command's report plus one block, with keys
+in the order input, spectrum, clustering, regularity.  Sweep experiments emit
+CSV.  All numbers are printed with 17 significant digits so reports parse
+back to the exact float values and reruns with identical flags are
+byte-identical.  Exit codes: 0 success,
 2 usage or input error, 3 internal numerical failure.
 """
 from __future__ import annotations
@@ -22,8 +24,8 @@ from .errors import (
     Unsolved,
 )
 from .graph import WeightedGraph, dump_edge_list, load_edge_list
-from .spectral import spectral_decomposition, spectral_gap, structural_count
-from .clustering import Partition, k_variance, representatives, weighted_kmeans
+from .spectral import _check_eps, spectral_decomposition, spectral_gap, structural_count
+from .clustering import representatives, weighted_kmeans
 from .quality import quality_report
 from .regularity import regularity_certificate
 from .generators import _CLASSICAL, BlockModel, _size_names, classical, generalized_random_graph
@@ -118,15 +120,11 @@ def _decompose(g: WeightedGraph, args, k: int):
 
 
 def _cluster_blocks(g: WeightedGraph, dec, k: int, seed: int, restarts: int):
-    # k = 1 never reaches weighted_kmeans, which checks this for k >= 2
+    # a bad --restarts is reported before a k outside [1, n], which
+    # representatives raises before weighted_kmeans checks restarts
     if restarts < 1:
         raise ValueError(f"restarts={restarts} must be >= 1")
-    if k == 1:
-        part = Partition.from_labels(np.zeros(g.n, dtype=np.intp), 1, g.degrees)
-        value = 0.0
-    else:
-        reps = representatives(dec, g, k)
-        part, value = weighted_kmeans(reps, k, restarts=restarts, seed=seed)
+    part, value = weighted_kmeans(representatives(dec, g, k), k, restarts=restarts, seed=seed)
     report = quality_report(g, dec, part)
     if report.duality_residual > DUALITY_TOL:
         raise InternalNumericalError(
@@ -174,43 +172,22 @@ def _regularity_block(g: WeightedGraph, report) -> dict:
     }
 
 
-def cmd_spectrum(args) -> int:
+def cmd_analyze(args) -> int:
+    """spectrum, cluster or regularity: load, decompose, then the blocks."""
     raw, g = _load_graph(args.file, args.largest_component)
-    dec = _decompose(g, args, 1)
-    report = {
-        "input": _input_block(args.file, raw, g, args.largest_component),
-        "spectrum": _spectrum_block(dec, args.eps, args.top),
-    }
-    print(render_json(report))
-    return 0
-
-
-def cmd_cluster(args) -> int:
-    raw, g = _load_graph(args.file, args.largest_component)
+    if args.command == "regularity":
+        g = g.normalize_volume()
     dec = _decompose(g, args, args.k)
-    _, cluster_block = _cluster_blocks(g, dec, args.k, args.seed, args.restarts)
     report = {
         "input": _input_block(args.file, raw, g, args.largest_component),
         "spectrum": _spectrum_block(dec, args.eps, args.top),
-        "clustering": cluster_block,
     }
-    print(render_json(report))
-    return 0
-
-
-def cmd_regularity(args) -> int:
-    raw, g = _load_graph(args.file, args.largest_component)
-    g = g.normalize_volume()
-    dec = _decompose(g, args, args.k)
-    part, cluster_block = _cluster_blocks(g, dec, args.k, args.seed, args.restarts)
-    cert = regularity_certificate(g, dec, part, args.k, exact_limit=args.exact_max,
-                                  samples=args.samples, seed=args.seed)
-    report = {
-        "input": _input_block(args.file, raw, g, args.largest_component),
-        "spectrum": _spectrum_block(dec, args.eps, args.top),
-        "clustering": cluster_block,
-        "regularity": _regularity_block(g, cert),
-    }
+    if args.command != "spectrum":
+        part, report["clustering"] = _cluster_blocks(g, dec, args.k, args.seed, args.restarts)
+    if args.command == "regularity":
+        cert = regularity_certificate(g, dec, part, args.k, exact_limit=args.exact_max,
+                                      samples=args.samples, seed=args.seed)
+        report["regularity"] = _regularity_block(g, cert)
     print(render_json(report))
     return 0
 
@@ -304,14 +281,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_spec = sub.add_parser("spectrum", help="eigenvalues of the normalized modularity matrix")
     add_analysis_flags(p_spec)
-    p_spec.set_defaults(func=cmd_spectrum)
+    p_spec.set_defaults(func=cmd_analyze, k=1)
 
     p_clu = sub.add_parser("cluster", help="spectral clustering with quality functionals")
     add_analysis_flags(p_clu)
     p_clu.add_argument("--k", type=int, required=True, help="cluster count")
     p_clu.add_argument("--seed", type=int, required=True, help="k-means seed")
     p_clu.add_argument("--restarts", type=int, default=20)
-    p_clu.set_defaults(func=cmd_cluster)
+    p_clu.set_defaults(func=cmd_analyze)
 
     p_reg = sub.add_parser("regularity", help="volume-regularity certificate per cluster pair")
     add_analysis_flags(p_reg)
@@ -322,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="enumerate a pair exactly when |A|+|B| is at most this")
     p_reg.add_argument("--samples", type=int, default=2000,
                        help="sampled subset pairs per large pair; 0 skips them")
-    p_reg.set_defaults(func=cmd_regularity)
+    p_reg.set_defaults(func=cmd_analyze)
 
     p_gen = sub.add_parser("generate", help="write generated graphs as TSV files")
     p_gen.add_argument("kind", choices=["block", "classical"])
@@ -361,6 +338,8 @@ def main(argv=None) -> int:
             value = getattr(args, flag, None)
             if value is not None and value < 0:
                 raise ValueError(f"{flag}={value} must be >= 0")
+        for eps in getattr(args, "eps", []):
+            _check_eps(eps)
         return args.func(args)
     except (EigenFailure, InternalNumericalError, Unsolved) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

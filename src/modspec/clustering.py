@@ -89,10 +89,11 @@ def representatives(dec: SpectralDecomposition, g: WeightedGraph, k: int) -> Rep
 
     The points r_i satisfy sum_i d_i r_i = 0 and sum_i d_i r_i r_i^T = I at
     any consistent weight scale, because the eigenvectors are orthonormal and
-    orthogonal to the square-root degree vector.
+    orthogonal to the square-root degree vector.  For k = 1 the points have
+    no coordinates, and every partition's clustering objective is 0.
     """
-    if not 2 <= k <= g.n:
-        raise BadK(f"k={k} outside [2, {g.n}]")
+    if not 1 <= k <= g.n:
+        raise BadK(f"k={k} outside [1, {g.n}]")
     if dec.n != g.n:
         raise ValueError("decomposition does not match the graph")
     if dec.vectors.shape[1] < k - 1:
@@ -180,7 +181,7 @@ def _lloyd(pts, w, centers):
         new_centers, wa = _centers(pts, w, labels, k)
         for a in np.flatnonzero(wa <= 0):
             new_centers[a] = pts[labels == a].mean(axis=0)
-        shift = np.abs(new_centers - centers).max()
+        shift = np.abs(new_centers - centers).max(initial=0.0)
         centers = new_centers
         if not moved or shift < 1e-10:
             break

@@ -253,14 +253,12 @@ def volume_regularity_alpha(g: WeightedGraph, cluster_a, cluster_b, *,
     best = 0.0
     best_x = np.zeros(ai.size, dtype=bool)
     best_y = np.zeros(bi.size, dtype=bool)
-    running = -1.0
-    for t in range(samples):
-        if discs[t] > running:
-            running = float(discs[t])
-            refined, rx, ry = _local_search(c, bx[t], by[t])
-            if refined > best:
-                best = refined
-                best_x, best_y = rx, ry
+    # the starts that score above every earlier start
+    for t in np.flatnonzero(discs > np.maximum.accumulate(np.r_[-1.0, discs[:-1]])):
+        refined, rx, ry = _local_search(c, bx[t], by[t])
+        if refined > best:
+            best = refined
+            best_x, best_y = rx, ry
     return best / denom, (ai[np.flatnonzero(best_x)], bi[np.flatnonzero(best_y)])
 
 
@@ -315,11 +313,8 @@ def regularity_certificate(g: WeightedGraph, dec: SpectralDecomposition,
     sizes = p.sizes()
     if (sizes == 0).any():
         raise ZeroVolume("every cluster must be nonempty")
-    if k == 1:
-        s = 0.0
-    else:
-        reps = representatives(dec, g, k)
-        s = float(np.sqrt(max(k_variance(reps.points, reps.weights, p), 0.0)))
+    reps = representatives(dec, g, k)
+    s = float(np.sqrt(max(k_variance(reps.points, reps.weights, p), 0.0)))
     eps = float(abs(dec.top_mus(k)[k - 1])) if k - 1 < dec.n else 0.0
     bound = float(np.sqrt(2 * k) * s + eps)
     min_size_ratio = float(sizes.min() / g.n)

@@ -65,6 +65,10 @@ def test_cluster_report(bridge_tsv, capsys):
     assert code == 0
     doc = json.loads(out)
     assert list(doc) == ["input", "spectrum", "clustering"]
+    # the cluster report is the spectrum report plus the clustering block
+    _, spec_out, _ = run(capsys, "spectrum", bridge_tsv)
+    spec = json.loads(spec_out)
+    assert doc["input"] == spec["input"] and doc["spectrum"] == spec["spectrum"]
     block = doc["clustering"]
     assert block["k"] == 2 and block["seed"] == 7 and block["restarts"] == 20
     labels = block["labels"]
@@ -79,14 +83,24 @@ def test_cluster_report(bridge_tsv, capsys):
 
 
 def test_cluster_k1_trivial(bridge_tsv, capsys):
-    code, out, _ = run(capsys, "cluster", bridge_tsv, "--k", "1", "--seed", "0")
-    assert code == 0
-    doc = json.loads(out)
-    block = doc["clustering"]
-    assert set(block["labels"].values()) == {0}
-    assert block["k_variance"] == 0
-    assert block["modularity"] == 0
-    assert block["normalized_cut"] == 0
+    for command in ("cluster", "regularity"):
+        code, out, _ = run(capsys, command, bridge_tsv, "--k", "1", "--seed", "0")
+        assert code == 0
+        doc = json.loads(out)
+        block = doc["clustering"]
+        assert set(block["labels"].values()) == {0}
+        assert block["k_variance"] == 0
+        assert block["modularity"] == 0
+        assert block["normalized_cut"] == 0
+    reg = doc["regularity"]
+    assert reg["s"] == 0 and reg["bound"] == reg["eps"]
+    assert [(p["a"], p["b"], p["method"]) for p in reg["pairs"]] == [(0, 0, "exact")]
+
+
+def test_cluster_k0_is_rejected(bridge_tsv, capsys):
+    code, out, err = run(capsys, "cluster", bridge_tsv, "--k", "0", "--seed", "0")
+    assert code == 2 and out == ""
+    assert "BadK: k=0 outside [1, 10]" in err
 
 
 def test_regularity_report(bridge_tsv, capsys):
@@ -132,8 +146,9 @@ def test_regularity_sampled_rerun_identical(block_tsv, capsys):
     ("regularity", "--samples", "-1", "samples=-1 must be >= 0"),
     ("regularity", "--restarts", "0", "restarts=0 must be >= 1"),
     ("cluster", "--restarts", "0", "restarts=0 must be >= 1"),
-    # k = 1 skips k-means, where the other commands check --restarts
     ("cluster", "--k 1 --restarts", "0", "restarts=0 must be >= 1"),
+    # reported before the k outside [1, n]
+    ("cluster", "--k 0 --restarts", "0", "restarts=0 must be >= 1"),
     ("converge", "--restarts", "0", "restarts=0 must be >= 1"),
     ("spectrum", "--top", "-3", "top=-3 must be >= 0"),
     ("cluster", "--top", "-1", "top=-1 must be >= 0"),
@@ -141,10 +156,12 @@ def test_regularity_sampled_rerun_identical(block_tsv, capsys):
     ("cluster", "--seed", "-1", "seed=-1 must be >= 0"),
     ("regularity", "--seed", "-1", "seed=-1 must be >= 0"),
     ("converge", "--seed", "-1", "seed=-1 must be >= 0"),
+    ("spectrum", "--eps 0.5 --eps", "1.5", "eps must lie in [0, 1)"),
+    ("cluster", "--eps 0.5 --eps", "-0.1", "eps must lie in [0, 1)"),
 ])
 def test_out_of_range_flags_are_rejected(block_tsv, tmp_path, capsys, monkeypatch, command,
                                          flag, value, message):
-    if flag in ("--top", "--seed"):
+    if flag.split()[-1] in ("--top", "--seed", "--eps"):
         # rejected before the graph is read or solved
         def fail(*args, **kwargs):
             raise AssertionError("the graph was read or solved")

@@ -66,8 +66,12 @@ def test_representatives_bounds():
     rng = np.random.default_rng(6)
     g = random_connected(rng, 5)
     dec = spectral_decomposition(g)
+    # k = 1 embeds every vertex as a point without coordinates
+    reps = representatives(dec, g, 1)
+    assert reps.points.shape == (5, 0)
+    assert np.array_equal(reps.weights, g.degrees)
     with pytest.raises(BadK):
-        representatives(dec, g, 1)
+        representatives(dec, g, 0)
     with pytest.raises(BadK):
         representatives(dec, g, 6)
     with pytest.raises(ValueError):
@@ -190,6 +194,10 @@ def test_kmeans_edge_cases():
     reps5 = Representatives(pts, np.ones(5), 5)
     _, v5 = weighted_kmeans(reps5, 5, seed=0)
     assert v5 == pytest.approx(0.0, abs=1e-12)
+    # points without coordinates, as representatives gives for k = 1
+    part0, v0 = weighted_kmeans(Representatives(np.zeros((4, 0)), np.ones(4), 2), 2, seed=0)
+    assert v0 == 0.0
+    assert part0.sizes().tolist() == [1, 3]
 
 
 def test_normalized_partition_vectors_orthonormal():
