@@ -3,7 +3,10 @@
 Representative points are rows of the eigenvector matrix scaled by inverse
 square-root degrees.  All objectives weight point j by its degree d_j, and
 cluster centers are degree-weighted means, so the clustering objective equals
-the degree-weighted within-cluster sum of squares.
+the degree-weighted within-cluster sum of squares.  k-means runs its restarts
+as batches on (restarts, n, k) arrays; each restart keeps its own seed
+stream, stopping rule and MAX_ITER cap, so the result equals running the
+restarts one by one.
 """
 from __future__ import annotations
 
@@ -17,6 +20,7 @@ from .spectral import SpectralDecomposition
 
 EXHAUSTIVE_LIMIT = 12
 MAX_ITER = 300  # Lloyd iterations per k-means restart
+_BATCH_CELLS = 1 << 18  # restarts x points x clusters held in one k-means batch
 
 
 @dataclass(frozen=True)
@@ -74,6 +78,10 @@ class Representatives:
         w = np.asarray(self.weights, dtype=float).copy()
         if pts.ndim != 2 or w.ndim != 1 or pts.shape[0] != w.size:
             raise ValueError("points must be (n, dim) with matching weights")
+        if not np.isfinite(pts).all():
+            raise ValueError("points must be finite")
+        if not (np.isfinite(w).all() and (w >= 0).all()):
+            raise ValueError("weights must be finite and nonnegative")
         pts.setflags(write=False)
         w.setflags(write=False)
         object.__setattr__(self, "points", pts)
@@ -104,22 +112,43 @@ def representatives(dec: SpectralDecomposition, g: WeightedGraph, k: int) -> Rep
     return Representatives(pts, g.degrees, k)
 
 
-def _centers(pts, w, labels, k) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted cluster means and cluster weights; a zero-weight cluster gets
-    the origin."""
-    wa = np.bincount(labels, weights=w, minlength=k)
-    live = wa > 0
-    centers = np.zeros((k, pts.shape[1]))
+def _sq_dists(pts, centers) -> np.ndarray:
+    """Squared distances (m, n, j) from the n points to each of m rows of j
+    centers.  Coordinates are added left to right, which below 8 of them is
+    the order of numpy's own last-axis sum."""
+    d2 = np.zeros((centers.shape[0], pts.shape[0], centers.shape[1]))
     for c in range(pts.shape[1]):
-        centers[live, c] = np.bincount(labels, weights=w * pts[:, c], minlength=k)[live] / wa[live]
+        diff = pts[None, :, None, c] - centers[:, None, :, c]
+        diff *= diff
+        d2 += diff
+    return d2
+
+
+def _centers(pts, w, labels, k) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted cluster means (m, k, dim) and cluster weights (m, k) of m
+    labelings (m, n); a zero-weight cluster gets the origin."""
+    m = labels.shape[0]
+    # offset each row's labels so one bincount sums every row, point by point
+    # in input order, as a bincount of that row alone would
+    idx = (labels + k * np.arange(m)[:, None]).ravel()
+
+    def sums(weights):
+        return np.bincount(idx, weights=np.tile(weights, m), minlength=m * k).reshape(m, k)
+
+    wa = sums(w)
+    live = wa > 0
+    centers = np.zeros((m, k, pts.shape[1]))
+    for c in range(pts.shape[1]):
+        np.divide(sums(w * pts[:, c]), wa, out=centers[:, :, c], where=live)
     return centers, wa
 
 
-def _cost(pts, w, labels, k) -> float:
-    """sum_j w_j |p_j - c_{l_j}|^2 with c the weighted cluster means."""
+def _cost(pts, w, labels, k) -> list[float]:
+    """sum_j w_j |p_j - c_{l_j}|^2, with c the weighted cluster means, for
+    each of m labelings (m, n)."""
     centers, _ = _centers(pts, w, labels, k)
-    diff = pts - centers[labels]
-    return float(w @ (diff * diff).sum(axis=1))
+    own = np.take_along_axis(_sq_dists(pts, centers), labels[:, :, None], axis=2)[:, :, 0]
+    return [float(w @ row) for row in own]
 
 
 def k_variance(points, weights, partition: Partition) -> float:
@@ -129,7 +158,7 @@ def k_variance(points, weights, partition: Partition) -> float:
     """
     pts = np.asarray(points, dtype=float)
     w = np.asarray(weights, dtype=float)
-    return _cost(pts, w, partition.labels, partition.k)
+    return _cost(pts, w, partition.labels[None, :], partition.k)[0]
 
 
 def _canonical_relabel(labels: np.ndarray, k: int) -> np.ndarray:
@@ -140,63 +169,88 @@ def _canonical_relabel(labels: np.ndarray, k: int) -> np.ndarray:
     return mapping[labels]
 
 
-def _seed_centers(pts, w, k, rng):
+def _seed_centers(pts, w, k, rngs) -> np.ndarray:
+    """Initial centers (m, k, dim), one row per generator: each row draws its
+    first center by weight and the next ones by weight times squared
+    distance to the nearest center it has chosen."""
     n = pts.shape[0]
     probs = w / w.sum()
-    chosen = [int(rng.choice(n, p=probs))]
-    for _ in range(1, k):
-        centers = pts[chosen]
-        d2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2).min(axis=1)
+    chosen = np.empty((len(rngs), k), dtype=np.intp)
+    chosen[:, 0] = [rng.choice(n, p=probs) for rng in rngs]
+    for i in range(1, k):
+        near = _sq_dists(pts, pts[chosen[:, i - 1], None, :])[:, :, 0]
+        d2 = near if i == 1 else np.minimum(d2, near)
         weight = w * d2
-        s = weight.sum()
-        if s > 0:
-            nxt = int(rng.choice(n, p=weight / s))
-        else:
-            taken = set(chosen)
-            nxt = next(i for i in range(n) if i not in taken)
-        chosen.append(nxt)
-    return pts[chosen].copy()
+        for r, rng in enumerate(rngs):
+            s = weight[r].sum()
+            if s > 0:
+                chosen[r, i] = rng.choice(n, p=weight[r] / s)
+            else:
+                taken = set(chosen[r, :i].tolist())
+                chosen[r, i] = next(j for j in range(n) if j not in taken)
+    return pts[chosen]
 
 
-def _lloyd(pts, w, centers):
-    n, k = pts.shape[0], centers.shape[0]
-    labels = np.full(n, -1, dtype=np.intp)
+def _steal(w, d2, labels, counts) -> None:
+    # give each empty cluster the point costing the most, taken from a
+    # cluster that keeps >= 1; labels and counts are updated in place
+    n = labels.size
+    for a in np.flatnonzero(counts == 0):
+        contrib = w * d2[np.arange(n), labels]
+        eligible = counts[labels] > 1
+        contrib = np.where(eligible, contrib, -1.0)
+        j = int(contrib.argmax())
+        counts[labels[j]] -= 1
+        labels[j] = a
+        counts[a] = 1
+
+
+def _lloyd(pts, w, centers) -> np.ndarray:
+    """Final labels (m, n) of Lloyd iterations from m rows of initial
+    centers.  A row leaves the batch once its labels stop changing or its
+    centers move less than 1e-10, or after MAX_ITER iterations."""
+    m, k = centers.shape[:2]
+    out = np.empty((m, pts.shape[0]), dtype=np.intp)
+    rows = np.arange(m)  # rows of out still iterating
+    labels = np.full(out.shape, -1, dtype=np.intp)
     for _ in range(MAX_ITER):
-        d2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        new_labels = d2.argmin(axis=1).astype(np.intp)
-        counts = np.bincount(new_labels, minlength=k)
-        for a in np.flatnonzero(counts == 0):
-            # move the point costing the most, taken from a cluster that keeps >= 1
-            contrib = w * d2[np.arange(n), new_labels]
-            eligible = counts[new_labels] > 1
-            contrib = np.where(eligible, contrib, -1.0)
-            j = int(contrib.argmax())
-            counts[new_labels[j]] -= 1
-            new_labels[j] = a
-            counts[a] = 1
-        moved = not np.array_equal(new_labels, labels)
+        d2 = _sq_dists(pts, centers)
+        new_labels = d2.argmin(axis=2)
+        offsets = k * np.arange(rows.size)[:, None]
+        counts = np.bincount((new_labels + offsets).ravel(),
+                             minlength=rows.size * k).reshape(-1, k)
+        for i in np.flatnonzero((counts == 0).any(axis=1)):
+            _steal(w, d2[i], new_labels[i], counts[i])
+        moved = (new_labels != labels).any(axis=1)
         labels = new_labels
         # the stealing above leaves every cluster nonempty, so only a cluster
         # of zero weight needs a fallback: the plain mean of its members
         new_centers, wa = _centers(pts, w, labels, k)
-        for a in np.flatnonzero(wa <= 0):
-            new_centers[a] = pts[labels == a].mean(axis=0)
-        shift = np.abs(new_centers - centers).max(initial=0.0)
+        for i, a in zip(*np.nonzero(wa <= 0)):
+            new_centers[i, a] = pts[labels[i] == a].mean(axis=0)
+        shift = np.abs(new_centers - centers).max(axis=(1, 2), initial=0.0)
         centers = new_centers
-        if not moved or shift < 1e-10:
+        done = ~moved | (shift < 1e-10)
+        out[rows[done]] = labels[done]
+        rows, labels, centers = rows[~done], labels[~done], centers[~done]
+        if not rows.size:
             break
-    return labels
+    out[rows] = labels
+    return out
 
 
 def weighted_kmeans(reps: Representatives, k: int, *, restarts: int = 20,
                     seed: int = 0) -> tuple[Partition, float]:
     """Best local minimum of the weighted clustering objective over restarts.
 
-    Seeding picks centers with probability proportional to weight times
-    squared distance to the nearest chosen center; empty clusters during
-    iteration steal the point with the largest weighted cost, and each
-    restart stops after at most MAX_ITER Lloyd iterations.  Ties between
-    restarts keep the earlier restart, so the result is seed-deterministic.
+    Restart r draws from its own generator, seeded with (seed, r).  Seeding
+    picks centers with probability proportional to weight times squared
+    distance to the nearest chosen center; empty clusters during iteration
+    steal the point with the largest weighted cost, and each restart stops
+    on its own rule, after at most MAX_ITER Lloyd iterations.  Restarts run
+    together in batches of at most _BATCH_CELLS distances, with the same
+    result as running them one by one.  Ties between restarts keep the
+    earlier restart, so the result is seed-deterministic.
     """
     if restarts < 1:
         raise ValueError(f"restarts={restarts} must be >= 1")
@@ -211,13 +265,14 @@ def weighted_kmeans(reps: Representatives, k: int, *, restarts: int = 20,
         part = Partition.from_labels(labels, 1, w)
         return part, k_variance(pts, w, part)
     best_labels, best_val = None, np.inf
-    for r in range(restarts):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, r])))
-        centers = _seed_centers(pts, w, k, rng)
-        labels = _lloyd(pts, w, centers)
-        val = _cost(pts, w, labels, k)
-        if val < best_val - 1e-15:
-            best_val, best_labels = val, labels
+    per_batch = max(1, _BATCH_CELLS // (n * k))
+    for first in range(0, restarts, per_batch):
+        rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, r])))
+                for r in range(first, min(first + per_batch, restarts))]
+        labels = _lloyd(pts, w, _seed_centers(pts, w, k, rngs))
+        for lab, val in zip(labels, _cost(pts, w, labels, k)):
+            if val < best_val - 1e-15:
+                best_val, best_labels = val, lab
     # relabeling moves no point to another center, so best_val is the
     # k-variance of the returned partition
     part = Partition.from_labels(_canonical_relabel(best_labels, k), k, w)
@@ -257,7 +312,7 @@ def exhaustive_min_k_variance(points, weights, k: int) -> tuple[Partition, float
         raise BadK(f"k={k} outside [1, {n}]")
     best_labels, best_val = None, np.inf
     for labels in _label_arrays(n, k):
-        val = _cost(pts, w, labels, k)
+        val = _cost(pts, w, labels[None, :], k)[0]
         if val < best_val - 1e-15:
             best_val = val
             best_labels = labels.copy()

@@ -1,6 +1,12 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from modspec import clustering
 from modspec import (
     BadK,
     Partition,
@@ -76,6 +82,14 @@ def test_representatives_bounds():
         representatives(dec, g, 6)
     with pytest.raises(ValueError):
         Representatives(np.zeros((3, 2)), np.zeros(4), 2)
+    # non-finite points and negative or non-finite weights; zero weights pass
+    for pts, w in (([[0.0], [np.nan], [1.0], [2.0]], np.ones(4)),
+                   ([[0.0], [np.inf], [1.0], [2.0]], np.ones(4)),
+                   ([[0.0], [1.0], [2.0]], [1.0, -0.5, 1.0]),
+                   ([[0.0], [1.0], [2.0]], [1.0, np.nan, 1.0])):
+        with pytest.raises(ValueError):
+            Representatives(pts, w, 2)
+    assert Representatives([[0.0], [1.0]], [0.0, 1.0], 2).weights.tolist() == [0.0, 1.0]
 
 
 def test_k_variance_hand_example():
@@ -161,6 +175,12 @@ def test_kmeans_determinism_and_canonical_labels():
         if lab not in first_seen:
             first_seen.append(lab)
     assert first_seen == sorted(first_seen)
+    # from 8 coordinates numpy's own sums take another order; the restarts
+    # are still scored by the k_variance kernel
+    pts9 = rng.random((40, 9))
+    w9 = 0.5 + rng.random(40)
+    p9, v9 = weighted_kmeans(Representatives(pts9, w9, 10), 10, seed=5)
+    assert v9 == k_variance(pts9, w9, p9)
 
 
 def test_kmeans_translation_invariant():
@@ -198,6 +218,157 @@ def test_kmeans_edge_cases():
     part0, v0 = weighted_kmeans(Representatives(np.zeros((4, 0)), np.ones(4), 2), 2, seed=0)
     assert v0 == 0.0
     assert part0.sizes().tolist() == [1, 3]
+
+
+# The k-means recipe that ran each restart on its own, kept as written (with
+# MAX_ITER read from the module, so a test can lower the cap): the batched
+# restarts must give the same labels and values, byte for byte.
+def _recipe_centers(pts, w, labels, k):
+    wa = np.bincount(labels, weights=w, minlength=k)
+    live = wa > 0
+    centers = np.zeros((k, pts.shape[1]))
+    for c in range(pts.shape[1]):
+        centers[live, c] = np.bincount(labels, weights=w * pts[:, c], minlength=k)[live] / wa[live]
+    return centers, wa
+
+
+def _recipe_cost(pts, w, labels, k):
+    centers, _ = _recipe_centers(pts, w, labels, k)
+    diff = pts - centers[labels]
+    return float(w @ (diff * diff).sum(axis=1))
+
+
+def _recipe_seed_centers(pts, w, k, rng):
+    n = pts.shape[0]
+    probs = w / w.sum()
+    chosen = [int(rng.choice(n, p=probs))]
+    for _ in range(1, k):
+        centers = pts[chosen]
+        d2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2).min(axis=1)
+        weight = w * d2
+        s = weight.sum()
+        if s > 0:
+            nxt = int(rng.choice(n, p=weight / s))
+        else:
+            taken = set(chosen)
+            nxt = next(i for i in range(n) if i not in taken)
+        chosen.append(nxt)
+    return pts[chosen].copy()
+
+
+def _recipe_lloyd(pts, w, centers):
+    n, k = pts.shape[0], centers.shape[0]
+    labels = np.full(n, -1, dtype=np.intp)
+    for _ in range(clustering.MAX_ITER):
+        d2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        new_labels = d2.argmin(axis=1).astype(np.intp)
+        counts = np.bincount(new_labels, minlength=k)
+        for a in np.flatnonzero(counts == 0):
+            contrib = w * d2[np.arange(n), new_labels]
+            eligible = counts[new_labels] > 1
+            contrib = np.where(eligible, contrib, -1.0)
+            j = int(contrib.argmax())
+            counts[new_labels[j]] -= 1
+            new_labels[j] = a
+            counts[a] = 1
+        moved = not np.array_equal(new_labels, labels)
+        labels = new_labels
+        new_centers, wa = _recipe_centers(pts, w, labels, k)
+        for a in np.flatnonzero(wa <= 0):
+            new_centers[a] = pts[labels == a].mean(axis=0)
+        shift = np.abs(new_centers - centers).max(initial=0.0)
+        centers = new_centers
+        if not moved or shift < 1e-10:
+            break
+    return labels
+
+
+def _recipe_kmeans(pts, w, k, restarts, seed):
+    best_labels, best_val = None, np.inf
+    for r in range(restarts):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, r])))
+        centers = _recipe_seed_centers(pts, w, k, rng)
+        labels = _recipe_lloyd(pts, w, centers)
+        val = _recipe_cost(pts, w, labels, k)
+        if val < best_val - 1e-15:
+            best_val, best_labels = val, labels
+    return clustering._canonical_relabel(best_labels, k), best_val
+
+
+def _assert_kmeans_matches_recipe(pts, w, k, restarts, seed):
+    part, val = weighted_kmeans(Representatives(pts, w, k), k, restarts=restarts, seed=seed)
+    labels, ref = _recipe_kmeans(pts, w, k, restarts, seed)
+    assert part.labels.tobytes() == labels.tobytes()
+    assert val.hex() == ref.hex()
+
+
+@st.composite
+def kmeans_inputs(draw):
+    shape = draw(st.sampled_from(["spread", "tiny", "grid", "zero_weight_cluster"]))
+    # at the tiny scales the centers of some restarts move less than 1e-10
+    # while their labels would still change: those restarts stop early and
+    # the others of their batch iterate on
+    tiny = shape == "tiny"
+    dim = draw(st.integers(1 if tiny else 0, 7))
+    n = draw(st.integers(20 if tiny else 2, 30))
+    k = draw(st.one_of(st.just(n), st.integers(2, min(n, 8))))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if shape in ("spread", "tiny"):
+        scales = [1e-10, 3e-10] if tiny else [1e-3, 1.0, 1e3]
+        pts = rng.normal(size=(n, dim)) * draw(st.sampled_from(scales))
+        w = rng.random(n) + 0.01
+    else:
+        # few distinct points, so clusters empty out and points are stolen
+        pts = rng.integers(0, 3, size=(n, dim)).astype(float)
+        w = rng.integers(0, 3, size=n).astype(float)
+    if shape == "zero_weight_cluster":
+        # the weighted points coincide, so seeding falls back to index
+        # order and can start a cluster holding only zero-weight points
+        pts[w > 0] = pts[0]
+        w[:n // 2] = 0.0
+    if w.sum() <= 0:
+        w[-1] = 1.0
+    restarts = draw(st.integers(1, 25))
+    max_iter = draw(st.sampled_from([1, 2, clustering.MAX_ITER]))
+    return pts, w, k, restarts, draw(st.integers(0, 1000)), max_iter
+
+
+@settings(max_examples=300)
+@given(kmeans_inputs())
+def test_kmeans_matches_its_reference_recipe(case):
+    pts, w, k, restarts, seed, max_iter = case
+    with mock.patch.object(clustering, "MAX_ITER", max_iter):
+        _assert_kmeans_matches_recipe(pts, w, k, restarts, seed)
+
+
+def test_kmeans_batches_do_not_change_the_bytes(monkeypatch):
+    rng = np.random.default_rng(15)
+    pts = rng.random((40, 2))
+    w = 0.5 + rng.random(40)
+    reps = Representatives(pts, w, 3)
+    default, dval = weighted_kmeans(reps, 3, restarts=20, seed=3)
+    # one restart per batch; then batches of 3 restarts (20 = 6 * 3 + 2)
+    for cells in (1, 3 * 40 * 3):
+        monkeypatch.setattr(clustering, "_BATCH_CELLS", cells)
+        part, val = weighted_kmeans(reps, 3, restarts=20, seed=3)
+        assert part.labels.tobytes() == default.labels.tobytes()
+        assert val.hex() == dval.hex()
+
+
+def test_kmeans_batches_bound_memory(monkeypatch):
+    # 200 restarts at once would hold 200 x 30000 x 3 distances (144 MB) in
+    # one temporary; the batches keep the peak far below that.  Two Lloyd
+    # iterations suffice to run every batch.
+    monkeypatch.setattr(clustering, "MAX_ITER", 2)
+    rng = np.random.default_rng(16)
+    reps = Representatives(rng.random((30000, 2)), np.ones(30000), 3)
+    tracemalloc.start()
+    try:
+        weighted_kmeans(reps, 3, restarts=200, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24e6
 
 
 def test_normalized_partition_vectors_orthonormal():
