@@ -10,6 +10,7 @@ restarts one by one.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +21,9 @@ from .spectral import SpectralDecomposition
 
 EXHAUSTIVE_LIMIT = 12
 MAX_ITER = 300  # Lloyd iterations per k-means restart
-_BATCH_CELLS = 1 << 18  # restarts x points x clusters held in one k-means batch
+# labelings x points x max(clusters, coordinates) held in one batch of k-means
+# restarts or of exhaustive-search partitions
+_BATCH_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -112,13 +115,13 @@ def representatives(dec: SpectralDecomposition, g: WeightedGraph, k: int) -> Rep
     return Representatives(pts, g.degrees, k)
 
 
-def _sq_dists(pts, centers) -> np.ndarray:
-    """Squared distances (m, n, j) from the n points to each of m rows of j
-    centers.  Coordinates are added left to right, which below 8 of them is
-    the order of numpy's own last-axis sum."""
-    d2 = np.zeros((centers.shape[0], pts.shape[0], centers.shape[1]))
-    for c in range(pts.shape[1]):
-        diff = pts[None, :, None, c] - centers[:, None, :, c]
+def _sq_dist(a, b) -> np.ndarray:
+    """Squared distances between broadcastable arrays of points, whose last
+    axis holds the coordinates.  Coordinates are added left to right, which
+    below 8 of them is the order of numpy's own last-axis sum."""
+    d2 = np.zeros(np.broadcast_shapes(a.shape, b.shape)[:-1])
+    for c in range(a.shape[-1]):
+        diff = a[..., c] - b[..., c]
         diff *= diff
         d2 += diff
     return d2
@@ -147,7 +150,7 @@ def _cost(pts, w, labels, k) -> list[float]:
     """sum_j w_j |p_j - c_{l_j}|^2, with c the weighted cluster means, for
     each of m labelings (m, n)."""
     centers, _ = _centers(pts, w, labels, k)
-    own = np.take_along_axis(_sq_dists(pts, centers), labels[:, :, None], axis=2)[:, :, 0]
+    own = _sq_dist(pts, centers[np.arange(labels.shape[0])[:, None], labels])
     return [float(w @ row) for row in own]
 
 
@@ -178,7 +181,7 @@ def _seed_centers(pts, w, k, rngs) -> np.ndarray:
     chosen = np.empty((len(rngs), k), dtype=np.intp)
     chosen[:, 0] = [rng.choice(n, p=probs) for rng in rngs]
     for i in range(1, k):
-        near = _sq_dists(pts, pts[chosen[:, i - 1], None, :])[:, :, 0]
+        near = _sq_dist(pts, pts[chosen[:, i - 1], None, :])
         d2 = near if i == 1 else np.minimum(d2, near)
         weight = w * d2
         for r, rng in enumerate(rngs):
@@ -214,7 +217,7 @@ def _lloyd(pts, w, centers) -> np.ndarray:
     rows = np.arange(m)  # rows of out still iterating
     labels = np.full(out.shape, -1, dtype=np.intp)
     for _ in range(MAX_ITER):
-        d2 = _sq_dists(pts, centers)
+        d2 = _sq_dist(pts[:, None, :], centers[:, None, :, :])
         new_labels = d2.argmin(axis=2)
         offsets = k * np.arange(rows.size)[:, None]
         counts = np.bincount((new_labels + offsets).ravel(),
@@ -265,7 +268,7 @@ def weighted_kmeans(reps: Representatives, k: int, *, restarts: int = 20,
         part = Partition.from_labels(labels, 1, w)
         return part, k_variance(pts, w, part)
     best_labels, best_val = None, np.inf
-    per_batch = max(1, _BATCH_CELLS // (n * k))
+    per_batch = max(1, _BATCH_CELLS // (n * max(k, pts.shape[1])))
     for first in range(0, restarts, per_batch):
         rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, r])))
                 for r in range(first, min(first + per_batch, restarts))]
@@ -302,7 +305,8 @@ def _label_arrays(n: int, kmax: int):
 
 def exhaustive_min_k_variance(points, weights, k: int) -> tuple[Partition, float]:
     """Global minimum of the weighted objective over all partitions into at
-    most k blocks, by direct enumeration; the first optimum found wins ties."""
+    most k blocks, by direct enumeration; the first optimum found wins ties.
+    Partitions are scored in batches by the kernel that scores k-means."""
     pts = np.asarray(points, dtype=float)
     w = np.asarray(weights, dtype=float)
     n = pts.shape[0]
@@ -311,11 +315,12 @@ def exhaustive_min_k_variance(points, weights, k: int) -> tuple[Partition, float
     if not 1 <= k <= n:
         raise BadK(f"k={k} outside [1, {n}]")
     best_labels, best_val = None, np.inf
-    for labels in _label_arrays(n, k):
-        val = _cost(pts, w, labels[None, :], k)[0]
-        if val < best_val - 1e-15:
-            best_val = val
-            best_labels = labels.copy()
+    labelings = _label_arrays(n, k)
+    per_batch = max(1, _BATCH_CELLS // (n * max(k, pts.shape[1])))
+    while batch := [labels.copy() for labels in itertools.islice(labelings, per_batch)]:
+        for labels, val in zip(batch, _cost(pts, w, np.array(batch), k)):
+            if val < best_val - 1e-15:
+                best_val, best_labels = val, labels
     part = Partition.from_labels(best_labels, k, w)
     return part, best_val
 

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modspec import clustering
@@ -264,6 +264,7 @@ def _recipe_lloyd(pts, w, centers):
         new_labels = d2.argmin(axis=1).astype(np.intp)
         counts = np.bincount(new_labels, minlength=k)
         for a in np.flatnonzero(counts == 0):
+            # move the point costing the most, taken from a cluster that keeps >= 1
             contrib = w * d2[np.arange(n), new_labels]
             eligible = counts[new_labels] > 1
             contrib = np.where(eligible, contrib, -1.0)
@@ -273,6 +274,8 @@ def _recipe_lloyd(pts, w, centers):
             counts[a] = 1
         moved = not np.array_equal(new_labels, labels)
         labels = new_labels
+        # the stealing above leaves every cluster nonempty, so only a cluster
+        # of zero weight needs a fallback: the plain mean of its members
         new_centers, wa = _recipe_centers(pts, w, labels, k)
         for a in np.flatnonzero(wa <= 0):
             new_centers[a] = pts[labels == a].mean(axis=0)
@@ -295,13 +298,6 @@ def _recipe_kmeans(pts, w, k, restarts, seed):
     return clustering._canonical_relabel(best_labels, k), best_val
 
 
-def _assert_kmeans_matches_recipe(pts, w, k, restarts, seed):
-    part, val = weighted_kmeans(Representatives(pts, w, k), k, restarts=restarts, seed=seed)
-    labels, ref = _recipe_kmeans(pts, w, k, restarts, seed)
-    assert part.labels.tobytes() == labels.tobytes()
-    assert val.hex() == ref.hex()
-
-
 @st.composite
 def kmeans_inputs(draw):
     shape = draw(st.sampled_from(["spread", "tiny", "grid", "zero_weight_cluster"]))
@@ -311,7 +307,7 @@ def kmeans_inputs(draw):
     tiny = shape == "tiny"
     dim = draw(st.integers(1 if tiny else 0, 7))
     n = draw(st.integers(20 if tiny else 2, 30))
-    k = draw(st.one_of(st.just(n), st.integers(2, min(n, 8))))
+    k = draw(st.integers(2, 8) if tiny else st.one_of(st.just(n), st.integers(2, min(n, 8))))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     if shape in ("spread", "tiny"):
         scales = [1e-10, 3e-10] if tiny else [1e-3, 1.0, 1e3]
@@ -328,17 +324,29 @@ def kmeans_inputs(draw):
         w[:n // 2] = 0.0
     if w.sum() <= 0:
         w[-1] = 1.0
-    restarts = draw(st.integers(1, 25))
+    restarts = draw(st.integers(2 if tiny else 1, 25))
     max_iter = draw(st.sampled_from([1, 2, clustering.MAX_ITER]))
     return pts, w, k, restarts, draw(st.integers(0, 1000)), max_iter
 
 
+def _tiny_case(seed):
+    # 30 points at scale 1e-10 in 4 clusters: some of the 20 restarts stop
+    # on the center shift while the others iterate on
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(30, 2)) * 1e-10, rng.random(30) + 0.01, 4, 20, seed, clustering.MAX_ITER
+
+
 @settings(max_examples=300)
 @given(kmeans_inputs())
+@example(_tiny_case(2))
+@example(_tiny_case(3))
 def test_kmeans_matches_its_reference_recipe(case):
     pts, w, k, restarts, seed, max_iter = case
     with mock.patch.object(clustering, "MAX_ITER", max_iter):
-        _assert_kmeans_matches_recipe(pts, w, k, restarts, seed)
+        part, val = weighted_kmeans(Representatives(pts, w, k), k, restarts=restarts, seed=seed)
+        labels, ref = _recipe_kmeans(pts, w, k, restarts, seed)
+    assert part.labels.tobytes() == labels.tobytes()
+    assert val.hex() == ref.hex()
 
 
 def test_kmeans_batches_do_not_change_the_bytes(monkeypatch):
@@ -347,12 +355,24 @@ def test_kmeans_batches_do_not_change_the_bytes(monkeypatch):
     w = 0.5 + rng.random(40)
     reps = Representatives(pts, w, 3)
     default, dval = weighted_kmeans(reps, 3, restarts=20, seed=3)
-    # one restart per batch; then batches of 3 restarts (20 = 6 * 3 + 2)
-    for cells in (1, 3 * 40 * 3):
-        monkeypatch.setattr(clustering, "_BATCH_CELLS", cells)
+    # the exhaustive search scores its 365 partitions of 7 points in batches
+    # too; one by one, the recipe's scores pick the same optimum
+    best_labels, best_val = None, np.inf
+    for labels in _label_arrays(7, 3):
+        val = _recipe_cost(pts[:7], w[:7], labels, 3)
+        if val < best_val - 1e-15:
+            best_val, best_labels = val, labels.copy()
+    # one restart or partition per batch; then batches of 3 restarts
+    # (20 = 6 * 3 + 2) and of 17 partitions (365 = 21 * 17 + 8)
+    for cells in (None, 1, 3 * 40 * 3):
+        if cells is not None:
+            monkeypatch.setattr(clustering, "_BATCH_CELLS", cells)
         part, val = weighted_kmeans(reps, 3, restarts=20, seed=3)
         assert part.labels.tobytes() == default.labels.tobytes()
         assert val.hex() == dval.hex()
+        epart, evalue = exhaustive_min_k_variance(pts[:7], w[:7], 3)
+        assert epart.labels.tobytes() == best_labels.tobytes()
+        assert evalue.hex() == best_val.hex()
 
 
 def test_kmeans_batches_bound_memory(monkeypatch):
