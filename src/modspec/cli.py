@@ -5,7 +5,8 @@ JSON; each report is the previous command's report plus one block, with keys
 in the order input, spectrum, clustering, regularity.  Sweep experiments emit
 CSV.  All numbers are printed with 17 significant digits so reports parse
 back to the exact float values and reruns with identical flags are
-byte-identical.  Exit codes: 0 success,
+byte-identical.  A command runs numpy's OpenBLAS pool on one thread and
+restores the caller's count when it returns.  Exit codes: 0 success,
 2 usage or input error, 3 internal numerical failure.
 """
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .errors import (
     Unsolved,
 )
 from .graph import WeightedGraph, dump_edge_list, load_edge_list
+from .openblas import one_thread
 from .spectral import _check_eps, spectral_decomposition, spectral_gap, structural_count
 from .clustering import representatives, weighted_kmeans
 from .quality import quality_report
@@ -340,7 +342,10 @@ def main(argv=None) -> int:
                 raise ValueError(f"{flag}={value} must be >= 0")
         for eps in getattr(args, "eps", []):
             _check_eps(eps)
-        return args.func(args)
+        # every numpy product of a command is small, and a second thread
+        # left spinning after one slows the Python code that follows
+        with one_thread("numpy"):
+            return args.func(args)
     except (EigenFailure, InternalNumericalError, Unsolved) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

@@ -22,10 +22,7 @@ or below ZERO_TOL are treated as exact zeros when ordering and counting.
 """
 from __future__ import annotations
 
-import ctypes
-from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 from scipy.linalg import blas, lapack
@@ -33,6 +30,7 @@ from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .errors import Disconnected, EigenFailure, Unsolved, ZeroDegree
 from .graph import WeightedGraph
+from .openblas import one_thread
 
 # treat |eigenvalue| at or below this as zero for ordering and counting
 ZERO_TOL = 1e-10
@@ -330,41 +328,6 @@ def _check_eps(eps: float) -> None:
         raise ValueError("eps must lie in [0, 1)")
 
 
-@cache
-def _arpack_blas():
-    """ctypes handle of the OpenBLAS that scipy's ARPACK calls, or None when
-    this scipy build does not export OpenBLAS's thread setter."""
-    try:
-        from scipy.sparse.linalg._eigen.arpack import _arpacklib
-        lib = ctypes.CDLL(_arpacklib.__file__)
-        get, put = lib.scipy_openblas_get_num_threads, lib.scipy_openblas_set_num_threads
-    except (ImportError, OSError, AttributeError):
-        return None
-    get.argtypes, get.restype = [], ctypes.c_int
-    put.argtypes, put.restype = [ctypes.c_int], None
-    return lib
-
-
-@contextmanager
-def _one_arpack_blas_thread():
-    """Run ARPACK's BLAS on one thread, then restore the caller's count.
-
-    Its calls work on n x ncv panels, too small to split: with the 2-thread
-    default, eigsh for 16 values at n = 2100 took 0.43 s instead of 0.27 s,
-    most of it in the Ritz vector extraction (``dseupd``).
-    """
-    lib = _arpack_blas()
-    if lib is None:
-        yield
-        return
-    threads = lib.scipy_openblas_get_num_threads()
-    lib.scipy_openblas_set_num_threads(1)
-    try:
-        yield
-    finally:
-        lib.scipy_openblas_set_num_threads(threads)
-
-
 def _eigsh(apply, m: int, k: int, which: str, tol: float, stream: int,
            vectors: bool = True):
     """``eigsh`` on the symmetric m x m operator ``apply``.
@@ -375,7 +338,11 @@ def _eigsh(apply, m: int, k: int, which: str, tol: float, stream: int,
     """
     rng = np.random.default_rng([ARPACK_SEED, stream])
     try:
-        with _one_arpack_blas_thread():
+        # ARPACK's calls work on m x ncv panels, too small to split: with
+        # scipy's 2-thread default, eigsh for 16 values at n = 2100 took
+        # 0.43 s instead of 0.27 s, most of it in the Ritz vector extraction
+        # (dseupd)
+        with one_thread("scipy"):
             return eigsh(LinearOperator((m, m), matvec=apply, dtype=float), k=k, which=which,
                          v0=rng.uniform(-1.0, 1.0, m), ncv=min(m, max(3 * k, 40)), tol=tol,
                          rng=rng, return_eigenvectors=vectors)

@@ -4,8 +4,11 @@ import os
 import numpy as np
 import pytest
 
-from modspec import cli, sampling
+from modspec import cli, openblas, sampling
 from modspec.cli import main, render_json
+from modspec.generators import two_cliques_bridge
+from modspec.graph import dump_edge_list
+from test_spectral import _skew_first_column
 
 
 def run(capsys, *argv):
@@ -371,3 +374,60 @@ def test_outputs_to_a_device_file(block_tsv, capsys):
     code, _, err = run(capsys, "generate", "classical", "--name", "complete", "--n", "3",
                        "-o", os.devnull)
     assert code == 0, err
+
+
+@pytest.fixture
+def numpy_pool():
+    """numpy's OpenBLAS (get, set) functions; skips where the build hides them."""
+    fns = openblas.pool("numpy")
+    if fns is None:
+        pytest.skip("numpy's OpenBLAS does not export its thread count")
+    return fns
+
+
+def test_commands_run_numpy_blas_on_one_thread(block_tsv, tmp_path, capsys, monkeypatch,
+                                               numpy_pool):
+    get, put = numpy_pool
+    seen = []
+    real = cli.render_json
+
+    def recording(value, indent=0):
+        if indent == 0:
+            seen.append(get())
+        return real(value, indent)
+
+    monkeypatch.setattr(cli, "render_json", recording)
+    default = get()
+    assert run(capsys, "regularity", block_tsv, "--k", "2", "--seed", "1")[0] == 0
+    assert seen == [1] and get() == default
+    # exit 2, before anything is solved
+    code, _, err = run(capsys, "spectrum", str(tmp_path / "missing.tsv"))
+    assert code == 2 and "FileNotFoundError" in err and get() == default
+    # exit 3, from inside the solver (the input of the eigen-equation test)
+    bridge = tmp_path / "bridge.tsv"
+    bridge.write_text(dump_edge_list(two_cliques_bridge(5)))
+    with monkeypatch.context() as patch:
+        _skew_first_column(patch)
+        code, _, err = run(capsys, "cluster", str(bridge), "--k", "2", "--seed", "0")
+    assert code == 3 and "EigenFailure" in err and get() == default
+    # a count the caller chose comes back unchanged
+    put(1)
+    try:
+        assert run(capsys, "cluster", block_tsv, "--k", "2", "--seed", "1")[0] == 0
+        assert get() == 1
+    finally:
+        put(default)
+
+
+def test_commands_without_blas_thread_control_print_the_same_bytes(block_tsv, capsys,
+                                                                   monkeypatch):
+    argv = ("regularity", block_tsv, "--k", "2", "--seed", "5", "--samples", "100",
+            "--exact-max", "10")
+    code, out, _ = run(capsys, *argv)
+    monkeypatch.setattr(openblas, "pool", lambda name: None)
+    assert openblas.threads("numpy") is None
+    assert run(capsys, *argv) == (code, out, "")
+    assert code == 0
+    # a build without the symbols is found to have none
+    assert openblas._lookup(openblas.POOLS["numpy"][0], "_no_such_suffix") is None
+    assert openblas._lookup("modspec.no_such_module", "") is None
