@@ -4,8 +4,8 @@ numpy's wheel bundles ``libscipy_openblas64_``, which serves ``@`` and
 ``np.linalg``; scipy's bundles ``libscipy_openblas``, which serves
 ``scipy.linalg.lapack``, ``scipy.linalg.blas`` and ARPACK.  Each has its own
 pool, read and set here through ctypes on an extension module that links it.
-A build that does not export the setter leaves its pool alone: every function
-here is then a no-op.
+A build that does not export the thread-count functions is left alone:
+``threads`` then returns None and ``one_thread`` does nothing.
 
 After a call that used two threads, OpenBLAS's second thread busy-waits for
 more work and takes the CPU from the single Python thread that does
