@@ -185,32 +185,45 @@ def cut_norm_bound(a) -> float:
 def _local_search(c, xbits, ybits) -> tuple[float, np.ndarray, np.ndarray]:
     """Greedy single-element flips on |x^T C y|, best improvement first.
 
-    ``C y`` and ``x^T C`` are kept current, so scoring every row and column
-    flip and applying the best one costs O(|A| + |B|).  Stops when no flip
-    gains more than 1e-15 or after FLIP_CAP flips.
+    With signs sx = 1 - 2x and sy = 1 - 2y, flipping row i adds sx_i (C y)_i
+    to x^T C y and flipping column j adds sy_j (x^T C)_j.  These |A| + |B|
+    gains live in one score vector g = [sx * C y, sy * x^T C], allocated once
+    and updated in place: a row flip adds its row of C to x^T C, negates its
+    own sign and score, and recomputes the column half; a column flip does
+    the mirror image.  The signs are +-1, so every score equals its
+    recomputation bit for bit.  Stops when no flip gains more than 1e-15 or
+    after FLIP_CAP flips.
     """
+    m = c.shape[0]
     x = xbits.astype(float)
     y = ybits.astype(float)
     cy = c @ y
     xc = x @ c
     value = float(x @ cy)
+    sx = 1.0 - 2.0 * x
+    sy = 1.0 - 2.0 * y
+    g = np.concatenate((sx * cy, sy * xc))
+    gx, gy = g[:m], g[m:]
+    cand = np.empty_like(g)
     for _ in range(FLIP_CAP):
-        sx = 1.0 - 2.0 * x
-        sy = 1.0 - 2.0 * y
-        cand = np.abs(value + np.concatenate((sx * cy, sy * xc)))
-        pos = int(np.argmax(cand))
+        np.add(g, value, out=cand)
+        np.abs(cand, out=cand)
+        pos = int(cand.argmax())
         if cand[pos] - abs(value) <= 1e-15:
             break
-        if pos < x.size:
-            value += sx[pos] * cy[pos]
-            x[pos] = 1.0 - x[pos]
+        value += g[pos]
+        if pos < m:
             xc += sx[pos] * c[pos]
+            sx[pos] = -sx[pos]
+            gx[pos] = -gx[pos]
+            np.multiply(sy, xc, out=gy)
         else:
-            pos -= x.size
-            value += sy[pos] * xc[pos]
-            y[pos] = 1.0 - y[pos]
+            pos -= m
             cy += sy[pos] * c[:, pos]
-    return float(abs(value)), x > 0.5, y > 0.5
+            sy[pos] = -sy[pos]
+            gy[pos] = -gy[pos]
+            np.multiply(sx, cy, out=gx)
+    return float(abs(value)), sx < 0, sy < 0
 
 
 def volume_regularity_alpha(g: WeightedGraph, cluster_a, cluster_b, *,

@@ -1,7 +1,10 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modspec import (
     BlockModel,
@@ -22,6 +25,7 @@ from modspec import (
     verify_mixing,
     volume_regularity_alpha,
 )
+from modspec import regularity
 from modspec.generators import two_cliques_bridge
 
 
@@ -348,6 +352,102 @@ def test_alpha_sampled_bounded_by_exact_and_monotone():
                 vec[i] = 1.0 - vec[i]
                 assert abs(xv @ c @ yv) / denom <= val + 1e-12
                 vec[i] = 1.0 - vec[i]
+
+
+# The local search that rebuilt both sign vectors and all flip scores on
+# every flip, kept as written (with FLIP_CAP read from the module, so a test
+# can lower the cap): the in-place scores must give the same value and
+# witness, byte for byte.
+def _recipe_local_search(c, xbits, ybits):
+    x = xbits.astype(float)
+    y = ybits.astype(float)
+    cy = c @ y
+    xc = x @ c
+    value = float(x @ cy)
+    for _ in range(regularity.FLIP_CAP):
+        sx = 1.0 - 2.0 * x
+        sy = 1.0 - 2.0 * y
+        cand = np.abs(value + np.concatenate((sx * cy, sy * xc)))
+        pos = int(np.argmax(cand))
+        if cand[pos] - abs(value) <= 1e-15:
+            break
+        if pos < x.size:
+            value += sx[pos] * cy[pos]
+            x[pos] = 1.0 - x[pos]
+            xc += sx[pos] * c[pos]
+        else:
+            pos -= x.size
+            value += sy[pos] * xc[pos]
+            y[pos] = 1.0 - y[pos]
+            cy += sy[pos] * c[:, pos]
+    return float(abs(value)), x > 0.5, y > 0.5
+
+
+@st.composite
+def local_search_inputs(draw):
+    shape = draw(st.sampled_from(["general", "row", "column"]))
+    m = 1 if shape == "row" else draw(st.integers(1, 30))
+    n = 1 if shape == "column" else draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["float", "integer", "zero"]))
+    if kind == "float":
+        c = rng.normal(size=(m, n)) * draw(st.sampled_from([1e-6, 1.0, 1e6]))
+    elif kind == "integer":
+        # few distinct values, so many flips tie for the best score
+        c = rng.integers(-2, 3, size=(m, n)).astype(float)
+    else:
+        c = np.zeros((m, n))
+    xbits = rng.random(m) < 0.5
+    ybits = rng.random(n) < 0.5
+    cap = draw(st.sampled_from([1, 2, regularity.FLIP_CAP]))
+    return c, xbits, ybits, cap
+
+
+@settings(max_examples=400)
+@given(local_search_inputs())
+def test_local_search_matches_its_reference_recipe(case):
+    c, xbits, ybits, cap = case
+    with mock.patch.object(regularity, "FLIP_CAP", cap):
+        value, x, y = regularity._local_search(c, xbits, ybits)
+        ref, rx, ry = _recipe_local_search(c, xbits, ybits)
+    assert value.hex() == ref.hex()
+    assert x.dtype == rx.dtype and x.tobytes() == rx.tobytes()
+    assert y.dtype == ry.dtype and y.tobytes() == ry.tobytes()
+
+
+def test_alpha_sampled_at_a_flip_cap_of_one(monkeypatch):
+    model = BlockModel((30, 30), np.array([[0.3, 0.05], [0.05, 0.3]]))
+    g = generalized_random_graph(model, 4)[0].normalize_volume()
+    a, b = list(range(30)), list(range(30, 60))
+    kw = dict(samples=40, seed=5)
+    search = regularity._local_search
+    searches = []
+
+    def recorded(c, xbits, ybits):
+        out = search(c, xbits, ybits)
+        searches.append((xbits.copy(), ybits.copy(), out))
+        return out
+
+    monkeypatch.setattr(regularity, "_local_search", recorded)
+    full, _ = volume_regularity_alpha(g, a, b, **kw)
+    first = searches[0][2][0]
+    searches.clear()
+    monkeypatch.setattr(regularity, "FLIP_CAP", 1)
+    alpha, (wx, wy) = volume_regularity_alpha(g, a, b, **kw)
+    # the first search needs more than one flip, so one flip stops it short
+    assert searches[0][2][0] < first
+    assert alpha < full
+    # the recipe at the same cap gives the same alpha and witness
+    monkeypatch.setattr(regularity, "_local_search", _recipe_local_search)
+    ref, (rx, ry) = volume_regularity_alpha(g, a, b, **kw)
+    assert alpha.hex() == ref.hex()
+    assert wx.tobytes() == rx.tobytes() and wy.tobytes() == ry.tobytes()
+    # the witness is the first best search's result, one flip from its start
+    values = [out[0] for _, _, out in searches]
+    xs, ys, (_, bx, by) = searches[values.index(max(values))]
+    assert np.array_equal(np.flatnonzero(bx), wx)
+    assert np.array_equal(np.flatnonzero(by) + 30, wy)
+    assert (bx != xs).sum() + (by != ys).sum() == 1
 
 
 def test_regularity_certificate_noiseless_blocks():
