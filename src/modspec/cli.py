@@ -148,30 +148,14 @@ def _cluster_blocks(g: WeightedGraph, dec, k: int, seed: int, restarts: int):
 
 
 def _regularity_block(g: WeightedGraph, report) -> dict:
-    pairs = []
-    for pair in report.pairs:
-        pairs.append({
-            "a": pair.a,
-            "b": pair.b,
-            "rho": pair.rho,
-            "alpha": pair.alpha,
-            "method": pair.method,
-            "vol_a": pair.vol_a,
-            "vol_b": pair.vol_b,
-            "ratio_to_bound": pair.ratio_to_bound,
-            "witness_x": None if pair.witness_x is None
-            else [g.vertex_ids[i] for i in pair.witness_x],
-            "witness_y": None if pair.witness_y is None
-            else [g.vertex_ids[i] for i in pair.witness_y],
-        })
-    return {
-        "k": report.k,
-        "s": report.s,
-        "eps": report.eps,
-        "bound": report.bound,
-        "min_size_ratio": report.min_size_ratio,
-        "pairs": pairs,
-    }
+    """Every field of the report and of its pairs, in declaration order, with
+    the witness index arrays given as vertex labels."""
+    def labels(witness):
+        return None if witness is None else [g.vertex_ids[i] for i in witness]
+
+    pairs = [{**vars(pair), "witness_x": labels(pair.witness_x),
+              "witness_y": labels(pair.witness_y)} for pair in report.pairs]
+    return {**vars(report), "pairs": pairs}
 
 
 def cmd_analyze(args) -> int:
@@ -349,10 +333,7 @@ def main(argv=None) -> int:
     except (EigenFailure, InternalNumericalError, Unsolved) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    except ModspecError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ModspecError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -263,10 +263,6 @@ def weighted_kmeans(reps: Representatives, k: int, *, restarts: int = 20,
         raise BadK(f"k={k} outside [1, {n}]")
     if w.sum() <= 0:
         raise ZeroVolume("point weights must have positive total")
-    if k == 1:
-        labels = np.zeros(n, dtype=np.intp)
-        part = Partition.from_labels(labels, 1, w)
-        return part, k_variance(pts, w, part)
     best_labels, best_val = None, np.inf
     per_batch = max(1, _BATCH_CELLS // (n * max(k, pts.shape[1])))
     for first in range(0, restarts, per_batch):

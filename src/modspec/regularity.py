@@ -284,11 +284,11 @@ class PairRegularity:
     rho: float
     alpha: float | None
     method: str
-    witness_x: np.ndarray | None
-    witness_y: np.ndarray | None
     vol_a: float
     vol_b: float
     ratio_to_bound: float | None
+    witness_x: np.ndarray | None
+    witness_y: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -328,7 +328,7 @@ def regularity_certificate(g: WeightedGraph, dec: SpectralDecomposition,
         raise ZeroVolume("every cluster must be nonempty")
     reps = representatives(dec, g, k)
     s = float(np.sqrt(max(k_variance(reps.points, reps.weights, p), 0.0)))
-    eps = float(abs(dec.top_mus(k)[k - 1])) if k - 1 < dec.n else 0.0
+    eps = float(abs(dec.top_mus(k)[k - 1]))
     bound = float(np.sqrt(2 * k) * s + eps)
     min_size_ratio = float(sizes.min() / g.n)
     members = [p.members(a) for a in range(k)]
@@ -351,11 +351,11 @@ def regularity_certificate(g: WeightedGraph, dec: SpectralDecomposition,
                 rho=g.relative_density(ia, ib),
                 alpha=alpha,
                 method=method,
-                witness_x=wx,
-                witness_y=wy,
                 vol_a=g.volume(ia),
                 vol_b=g.volume(ib),
                 ratio_to_bound=(alpha / bound) if alpha is not None and bound > 0 else None,
+                witness_x=wx,
+                witness_y=wy,
             ))
     return RegularityReport(k=k, s=s, eps=eps, bound=bound,
                             min_size_ratio=min_size_ratio, pairs=tuple(pairs))

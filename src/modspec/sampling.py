@@ -141,7 +141,7 @@ def spectral_convergence(g: WeightedGraph, schedule, trials: int, j: int,
     sched = _check_schedule(g, schedule, trials)
     if j < 1 or j > min(sched) - 1:
         raise BadSize(f"j={j} outside [1, min(schedule)-1]")
-    ref_mus = spectral_decomposition(g, leading=0).mus[:j]
+    ref_mus = spectral_decomposition(g, leading=0, values=j).top_mus(j)
 
     def measure(sub, child):
         if sub.n <= j or sub.total_volume <= 0:
@@ -202,7 +202,7 @@ def k_variance_convergence(g: WeightedGraph, schedule, trials: int, k: int, seed
     sched = _check_schedule(g, schedule, trials)
     if not 2 <= k <= min(sched):
         raise BadK(f"k={k} outside [2, min(schedule)]")
-    dec = spectral_decomposition(g, leading=k - 1)
+    dec = spectral_decomposition(g, leading=k - 1, values=k - 1)
     reps = representatives(dec, g, k)
     _, ref_value = weighted_kmeans(reps, k, restarts=restarts, seed=seed)
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import blas, lapack
+from scipy.linalg import LinAlgError, blas, eigh_tridiagonal, lapack
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .errors import Disconnected, EigenFailure, Unsolved, ZeroDegree
@@ -189,46 +189,42 @@ def _tridiagonal_vectors(d: np.ndarray, e: np.ndarray, top: int, bottom: int) ->
     """Eigenvectors of the tridiagonal matrix for the ``top`` largest and the
     ``bottom`` smallest eigenvalues, as columns in descending-value order.
 
-    A partial request is served by bisection (``dstebz``, RANGE='I') for the
-    values of each index range and one inverse-iteration call (``dstein``)
-    for both ranges, so only the n x (top + bottom) requested columns are
-    ever allocated; ``dstein`` reorthogonalizes the columns of close values.
-    A request for all n eigenvectors uses MRRR (``dstemr``, RANGE='A'),
-    which is much faster there.
+    scipy's ``eigh_tridiagonal`` serves each index range of a partial request
+    by bisection and inverse iteration (``stebz``), so only the
+    n x (top + bottom) requested columns are ever allocated, and a request
+    for all n eigenvectors by MRRR (``stemr``), which is much faster there.
+    Inverse iteration reorthogonalizes the columns of close values within
+    one range only; where the two ranges meet, the top columns are projected
+    off the bottom ones once and renormalized.  The two ranges must share no
+    eigenvalue, as in ``_solve``, which splits them at -ZERO_TOL.
     """
     n = d.size
     if top + bottom == n:
-        # dstemr overwrites its off-diagonal, which has length n (the last
-        # entry is workspace); the wrapper's default workspace sizes are the
-        # ones LAPACK asks for.  RANGE 0 is 'A'.
-        count, _, z, info = lapack.dstemr(d, np.append(e, 0.0), 0, 0.0, 1.0, 1, n)
-        _lapack_info(info, "dstemr")
-        if count != n:
-            raise EigenFailure(f"dstemr returned {count} of {n} eigenvectors")
-        return z[:, ::-1]
-    values, blocks = [], []
-    # 1-based ascending index ranges; RANGE 2 is 'I', order 'B' groups the
-    # values by split-off block, as dstein needs them
-    for il, iu in ((1, bottom), (n - top + 1, n)):
-        if iu < il:
-            continue
-        count, w, iblock, isplit, info = lapack.dstebz(d, e, 2, 0.0, 0.0, il, iu, 0.0, "B")
-        _lapack_info(info, "dstebz")
-        if count != iu - il + 1:
-            raise EigenFailure(f"dstebz returned {count} of {iu - il + 1} eigenvalues")
-        values.append(w[:count])
-        blocks.append(iblock[:count])
-    if not values:
-        return np.empty((n, 0))
-    w, iblock = np.concatenate(values), np.concatenate(blocks)
-    # both ranges in one call: by block, ascending within each block
-    grouped = np.lexsort((w, iblock))
-    w = w[grouped]
-    # the wrapper wants iblock at its full length n
-    iblock = np.pad(iblock[grouped], (0, n - w.size))
-    z, info = lapack.dstein(d, e, w, iblock, isplit)
-    _lapack_info(info, "dstein")
-    return z[:, np.argsort(w, kind="stable")[::-1]]
+        requests = [("a", None, "stemr", n)]
+    else:
+        requests = [("i", (lo, hi), "stebz", hi - lo + 1)
+                    for lo, hi in ((n - top, n - 1), (0, bottom - 1)) if lo <= hi]
+    blocks = []
+    for select, bounds, driver, want in requests:
+        try:
+            w, z = eigh_tridiagonal(d, e, select=select, select_range=bounds,
+                                    lapack_driver=driver)
+        except LinAlgError as exc:
+            raise EigenFailure(str(exc)) from None
+        if z.shape[1] != want:
+            raise EigenFailure(f"{driver} returned {z.shape[1]} of {want} eigenvectors")
+        if driver == "stebz":
+            # scipy orders stein's columns by numpy's unstable default sort:
+            # keep exact ties in block order, as a column is zero outside
+            # its split-off block
+            z = z[:, np.lexsort((np.argmax(z != 0, axis=0), w))]
+        blocks.append(z[:, ::-1])
+    if len(blocks) < 2:
+        return blocks[0] if blocks else np.empty((n, 0))
+    upper, lower = blocks
+    upper -= lower @ (lower.T @ upper)
+    upper /= np.linalg.norm(upper, axis=0)
+    return np.hstack(blocks)
 
 
 def _solve(a: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

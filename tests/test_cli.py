@@ -112,6 +112,11 @@ def test_regularity_report(bridge_tsv, capsys):
     doc = json.loads(out)
     assert list(doc) == ["input", "spectrum", "clustering", "regularity"]
     reg = doc["regularity"]
+    # the block lists the report's fields and each pair's in one fixed order
+    assert list(reg) == ["k", "s", "eps", "bound", "min_size_ratio", "pairs"]
+    for pair in reg["pairs"]:
+        assert list(pair) == ["a", "b", "rho", "alpha", "method", "vol_a", "vol_b",
+                              "ratio_to_bound", "witness_x", "witness_y"]
     assert reg["k"] == 2
     assert len(reg["pairs"]) == 3
     assert reg["bound"] == pytest.approx(np.sqrt(4.0) * reg["s"] + reg["eps"], abs=1e-12)

@@ -21,7 +21,7 @@ from modspec import (
     spectral_convergence,
     subspace_convergence,
 )
-from modspec import sampling
+from modspec import sampling, spectral
 from modspec.generators import complete_graph, path_graph, two_cliques_bridge
 
 
@@ -247,6 +247,42 @@ def test_k_variance_convergence_table():
         k_variance_convergence(g, (12, 24), 3, 13, seed=6)
     with pytest.raises(BadK):
         k_variance_convergence(g, (12, 24), 3, 1, seed=6)
+
+
+@pytest.mark.parametrize("mode", ["spectrum", "kvariance"])
+def test_converge_references_are_bounded_requests(monkeypatch, mode):
+    # with every graph large enough for eigsh, the full graph's reference is
+    # served by it, as the reference reads only j values or k - 1 vectors;
+    # the samples read every value and stay dense
+    model = BlockModel((40, 40, 40), np.full((3, 3), 0.03) + np.diag([0.27] * 3))
+    g, _ = generalized_random_graph(model, 1)
+    if mode == "spectrum":
+        def run():
+            return spectral_convergence(g, (30, 60), 2, 2, seed=1)
+    else:
+        def run():
+            return k_variance_convergence(g, (30, 60), 2, 3, seed=1, restarts=5)
+    dense = run()
+    sizes = []
+    real = spectral.eigsh
+
+    def recording(op, **kwargs):
+        sizes.append(op.shape[0])
+        return real(op, **kwargs)
+
+    monkeypatch.setattr(spectral, "SPARSE_MIN_N", 0)
+    monkeypatch.setattr(spectral, "eigsh", recording)
+    bounded = run()
+    assert sizes and set(sizes) == {g.n - 1}
+    assert bounded.reference.keys() == dense.reference.keys()
+    for key, value in dense.reference.items():
+        assert np.allclose(bounded.reference[key], value, rtol=0.0, atol=1e-12)
+    for got, want in zip(bounded.rows + bounded.medians, dense.rows + dense.medians,
+                         strict=True):
+        assert got.keys() == want.keys()
+        for key, value in want.items():
+            if key != "trial":
+                assert got[key] == pytest.approx(value, rel=0.0, abs=1e-12, nan_ok=True)
 
 
 def test_coverage_flagging_on_sparse_graph():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import LinAlgError, lapack
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from modspec import (
@@ -181,26 +182,26 @@ def test_degenerate_kernel_still_ends_with_sqrt_degrees():
 
 
 def test_deflated_solve_computes_only_the_requested_columns(monkeypatch):
-    requested, mrrr = [], []
-    real, real_dstemr = spectral._tridiagonal_vectors, spectral.lapack.dstemr
+    requested, solves = [], []
+    real, real_eigh = spectral._tridiagonal_vectors, spectral.eigh_tridiagonal
 
     def recording(d, e, top, bottom):
         requested.append((top, bottom))
         return real(d, e, top, bottom)
 
-    def recording_dstemr(*args, **kwargs):
-        mrrr.append(args[0].size)
-        return real_dstemr(*args, **kwargs)
+    def recording_eigh(d, e, **kwargs):
+        solves.append((d.size, kwargs["select"], kwargs["lapack_driver"]))
+        return real_eigh(d, e, **kwargs)
 
     monkeypatch.setattr(spectral, "_tridiagonal_vectors", recording)
-    monkeypatch.setattr(spectral.lapack, "dstemr", recording_dstemr)
+    monkeypatch.setattr(spectral, "eigh_tridiagonal", recording_eigh)
     # K_{3,4} has eigenvalue -1 once and 0 six times: the second column lies
     # in the zero block, and the deflated block serves it without the rest.
     # Both ends of the value order are asked for, the top one inside the
-    # tied zeros, and inverse iteration serves them without MRRR
+    # tied zeros, and inverse iteration serves each without MRRR
     g = complete_bipartite(3, 4)
     dec = spectral_decomposition(g, leading=2)
-    assert requested == [(1, 1)] and mrrr == []
+    assert requested == [(1, 1)] and solves == [(6, "i", "stebz")] * 2
     v = dec.vectors
     assert v.shape == (7, 2) and dec.mus[0] == pytest.approx(-1.0)
     assert np.abs(v.T @ v - np.eye(2)).max() <= 1e-12
@@ -209,7 +210,7 @@ def test_deflated_solve_computes_only_the_requested_columns(monkeypatch):
     assert np.abs(v.T @ dec.sqrt_degrees).max() <= 1e-12
     # all n - 1 columns of the block are a full request, which MRRR serves
     spectral_decomposition(g)
-    assert mrrr == [6]
+    assert solves[2:] == [(6, "a", "stemr")]
 
 
 def test_eigendecompose_validation():
@@ -515,25 +516,132 @@ def test_partial_solver_failures_are_eigen_failures(monkeypatch, tmp_path, capsy
     g = two_cliques_bridge(5)
     path = tmp_path / "bridge.tsv"
     path.write_text(dump_edge_list(g))
-    real_dstebz, real_dstein = spectral.lapack.dstebz, spectral.lapack.dstein
+    real = spectral.eigh_tridiagonal
 
-    def short_dstebz(*args):
-        count, *rest = real_dstebz(*args)
-        return (count - 1, *rest)
+    def short(driver):
+        def fake(d, e, **kwargs):
+            w, z = real(d, e, **kwargs)
+            return (w[:-1], z[:, :-1]) if kwargs["lapack_driver"] == driver else (w, z)
+        return fake, "returned"
 
-    def failing_dstein(*args):
-        z, _ = real_dstein(*args)
-        return z, 1
+    def failing(driver):
+        def fake(d, e, **kwargs):
+            if kwargs["lapack_driver"] == driver:
+                raise LinAlgError(f"{driver} did not converge")
+            return real(d, e, **kwargs)
+        return fake, "did not converge"
 
-    for name, fake in (("dstebz", short_dstebz), ("dstein", failing_dstein)):
-        with monkeypatch.context() as patch:
-            patch.setattr(spectral.lapack, name, fake)
-            with pytest.raises(EigenFailure, match=name):
-                spectral_decomposition(g, leading=2)
-            assert main(["cluster", str(path), "--k", "3", "--seed", "0"]) == 3
-            assert "EigenFailure" in capsys.readouterr().err
-            # a full request is served by dstemr alone
-            assert spectral_decomposition(g).vectors.shape == (10, 10)
+    # a partial request is served by stebz alone, a full one by stemr alone;
+    # k = 10 asks for all 9 columns of the deflated block
+    for driver, failed, served, k in (("stebz", 2, None, "3"), ("stemr", None, 2, "10")):
+        for make in (short, failing):
+            fake, message = make(driver)
+            with monkeypatch.context() as patch:
+                patch.setattr(spectral, "eigh_tridiagonal", fake)
+                with pytest.raises(EigenFailure, match=message):
+                    spectral_decomposition(g, leading=failed)
+                assert spectral_decomposition(g, leading=served).vectors.shape[0] == 10
+                assert main(["cluster", str(path), "--k", k, "--seed", "0"]) == 3
+                assert "EigenFailure" in capsys.readouterr().err
+
+
+# The dense path's eigenvectors before scipy's eigh_tridiagonal served them,
+# kept as written: LAPACK's dstebz, dstein and dstemr called by hand, with
+# both index ranges in one dstein call.
+def _recipe_tridiagonal_vectors(d, e, top, bottom):
+    n = d.size
+    if top + bottom == n:
+        # dstemr overwrites its off-diagonal, which has length n (the last
+        # entry is workspace); the wrapper's default workspace sizes are the
+        # ones LAPACK asks for.  RANGE 0 is 'A'.
+        count, _, z, info = lapack.dstemr(d, np.append(e, 0.0), 0, 0.0, 1.0, 1, n)
+        spectral._lapack_info(info, "dstemr")
+        if count != n:
+            raise EigenFailure(f"dstemr returned {count} of {n} eigenvectors")
+        return z[:, ::-1]
+    values, blocks = [], []
+    # 1-based ascending index ranges; RANGE 2 is 'I', order 'B' groups the
+    # values by split-off block, as dstein needs them
+    for il, iu in ((1, bottom), (n - top + 1, n)):
+        if iu < il:
+            continue
+        count, w, iblock, isplit, info = lapack.dstebz(d, e, 2, 0.0, 0.0, il, iu, 0.0, "B")
+        spectral._lapack_info(info, "dstebz")
+        if count != iu - il + 1:
+            raise EigenFailure(f"dstebz returned {count} of {iu - il + 1} eigenvalues")
+        values.append(w[:count])
+        blocks.append(iblock[:count])
+    if not values:
+        return np.empty((n, 0))
+    w, iblock = np.concatenate(values), np.concatenate(blocks)
+    # both ranges in one call: by block, ascending within each block
+    grouped = np.lexsort((w, iblock))
+    w = w[grouped]
+    # the wrapper wants iblock at its full length n
+    iblock = np.pad(iblock[grouped], (0, n - w.size))
+    z, info = lapack.dstein(d, e, w, iblock, isplit)
+    spectral._lapack_info(info, "dstein")
+    return z[:, np.argsort(w, kind="stable")[::-1]]
+
+
+@st.composite
+def tridiagonal_requests(draw):
+    n = draw(st.integers(2, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["float", "integer", "split"]))
+    if kind == "integer":
+        # few distinct entries: exact ties, within a block and across blocks
+        d = rng.integers(-2, 3, n).astype(float)
+        e = rng.integers(-1, 2, n - 1).astype(float)
+    else:
+        d, e = rng.standard_normal(n), rng.standard_normal(n - 1)
+        if kind == "split":
+            e[rng.random(n - 1) < 0.3] = 0.0
+            d[rng.random(n) < 0.3] = 0.5
+    top = draw(st.integers(0, n))
+    bottom = draw(st.integers(0, n - top))
+    return d, e, top, bottom
+
+
+@settings(max_examples=400)
+@given(tridiagonal_requests())
+def test_tridiagonal_vectors_match_their_reference_recipe(case):
+    d, e, top, bottom = case
+    n = d.size
+    got = spectral._tridiagonal_vectors(d, e, top, bottom)
+    want = _recipe_tridiagonal_vectors(d, e, top, bottom)
+    assert got.shape == want.shape == (n, top + bottom)
+    if top == 0 or bottom == 0 or top + bottom == n:
+        # one range, or all n by MRRR: the same LAPACK calls, the same bytes
+        assert got.tobytes() == want.tobytes()
+        return
+    # the two ranges share no value, as in _solve
+    w = np.sort(lapack.dsterf(d, e)[0])
+    assume(w[n - top] > w[bottom - 1])
+    assert np.abs(got.T @ got - np.eye(top + bottom)).max() <= 1e-12
+    # two inverse-iteration calls instead of one: each column whose value
+    # is apart from every other eigenvalue is the same vector up to sign
+    values = np.r_[w[n - top:][::-1], w[:bottom][::-1]]
+    gaps = np.sort(np.abs(values[:, None] - w[None, :]), axis=1)[:, 1]
+    apart = gaps >= 1e-3 * max(1.0, np.abs(w).max())
+    signs = np.sign(np.sum(got * want, axis=0))
+    assert np.abs(got - want * signs)[:, apart].max(initial=0.0) <= 1e-12
+
+
+def test_two_ranges_meeting_across_the_zero_cut_stay_orthonormal():
+    # six leading positions: the top range ends at 3e-11 and the bottom one
+    # starts at -1.05e-10, just beyond -ZERO_TOL.  Inverse iteration
+    # reorthogonalizes close values only within one call, so the top columns
+    # are projected off the bottom ones
+    values = np.array([0.5, 0.4, 3e-11, 1e-11, -2e-11, -1.05e-10, -0.6, -0.75])
+    rng = np.random.default_rng(23)
+    for _ in range(40):
+        q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+        mat = q @ np.diag(values) @ q.T
+        dec = eigendecompose((mat + mat.T) / 2.0, leading=6)
+        v = dec.vectors
+        assert sorted(dec.mu_to_lambda[:6]) == [0, 1, 2, 5, 6, 7]
+        assert np.abs(v.T @ v - np.eye(6)).max() <= 1e-12
 
 
 def test_graph_path_never_forms_the_modularity_matrix(monkeypatch, tmp_path):
