@@ -19,7 +19,7 @@ import numpy as np
 from scipy.sparse import coo_array, diags_array
 
 from .errors import BadSize
-from .graph import WeightedGraph
+from .graph import WeightedGraph, _index_dtype
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ def _link(n: int, pair_weights, rng: np.random.Generator | None = None) -> coo_a
     first, so the columns of each row are sorted.
     """
     step = max(1, _BLOCK_CELLS // max(n, 1))
-    itype = np.int32 if n < 2**31 else np.int64
+    itype = _index_dtype(n)
     rows, cols, vals = [np.empty(0, itype)], [np.empty(0, itype)], [np.empty(0)]
     for lo in range(0, n, step):
         w = pair_weights(lo, min(lo + step, n))

@@ -6,8 +6,11 @@ Vertex subsets are passed around as validated integer index arrays; use
 stores its weights once, as a read-only CSR array of the nonzero entries, so
 it costs O(n + nnz) memory and every reader in the package works on that
 array; ``weights`` hands out a dense copy for small graphs only.  The parser
-and the generators hand the constructor COO arrays of their edges.  The
-largest weight and the connected components are cached on first use.
+and the generators hand the constructor COO arrays of their edges.  Every
+graph stores 32-bit ``indices`` and ``indptr`` unless n or the number of
+stored weights needs 64 bits (:func:`_index_dtype`), however its array was
+made.  The largest weight and the connected components are cached on first
+use.
 """
 from __future__ import annotations
 
@@ -33,6 +36,12 @@ def default_vertex_ids(n: int) -> tuple[str, ...]:
     """Generated labels v000..; zero padded so lexicographic order matches index order."""
     width = max(1, len(str(max(n - 1, 0))))
     return tuple(map(("v%0" + str(width) + "d").__mod__, range(n)))
+
+
+def _index_dtype(largest: int) -> type:
+    """Integer type of CSR index arrays whose entries reach ``largest``:
+    int32 when it fits, as scipy chooses for a new array, else int64."""
+    return np.int32 if largest <= np.iinfo(np.int32).max else np.int64
 
 
 def vertex_subset(indices, n: int) -> np.ndarray:
@@ -62,8 +71,9 @@ class WeightedGraph:
 
     The constructor takes a dense array-like or a scipy sparse array and
     copies its nonzero entries (zeros of either sign are dropped) into a CSR
-    array with sorted indices, which it checks in O(nnz) and freezes; degree
-    sums are cached.  Only labels the caller passes are checked.  All methods
+    array with sorted indices of the narrowest type that holds n and the
+    entry count, which it checks in O(nnz) and freezes; degree sums are
+    cached.  Only labels the caller passes are checked.  All methods
     treat the graph as undirected.
     """
 
@@ -79,6 +89,10 @@ class WeightedGraph:
         n = w.shape[0]
         w.sum_duplicates()
         w.eliminate_zeros()
+        # scipy keeps the index type of its input: narrow 64-bit indices
+        itype = _index_dtype(max(n, w.nnz))
+        w.indices = w.indices.astype(itype, copy=False)
+        w.indptr = w.indptr.astype(itype, copy=False)
         if not np.isfinite(w.data).all():
             raise ValueError("weights must be finite")
         if (w.data < 0).any():
@@ -272,14 +286,16 @@ def load_edge_list(text: str) -> WeightedGraph:
     del labels
     n = len(ids)
     index = dict(zip(ids, range(n)))
-    iu = np.fromiter(map(index.__getitem__, us), dtype=np.intp, count=m)
-    iv = np.fromiter(map(index.__getitem__, vs), dtype=np.intp, count=m)
+    itype = _index_dtype(n)
+    iu = np.fromiter(map(index.__getitem__, us), dtype=itype, count=m)
+    iv = np.fromiter(map(index.__getitem__, vs), dtype=itype, count=m)
     del us, vs
     bad = ~np.isfinite(w) | (w < 0) | (iu == iv)
     if "" in index:
         bad |= (iu == index[""]) | (iv == index[""])
     del index
-    key = np.minimum(iu, iv) * n + np.maximum(iu, iv)
+    # 64-bit: the key reaches n^2, past int32 from n = 46,341
+    key = np.minimum(iu, iv).astype(np.int64) * n + np.maximum(iu, iv)
     repeated = np.ones(m, dtype=bool)
     repeated[np.unique(key, return_index=True)[1]] = False
     bad |= repeated

@@ -89,6 +89,8 @@ def _block(g: WeightedGraph, size: int) -> np.ndarray:
         j = indices[indptr[lo]:indptr[hi]]
         keep = j < size
         i, j = i[keep], j[keep]
+        # i is intp, so the flat index i * size + j stays 64-bit past n^2 =
+        # 2^31 even though the graph's indices j are 32-bit
         w = np.ldexp(data[indptr[lo]:indptr[hi]][keep], e - y[i] - y[j])
         block.ravel()[i * size + j] = w / np.sqrt(m[i] * m[j])
         lo = hi

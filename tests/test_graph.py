@@ -17,11 +17,13 @@ from modspec import (
     WeightedGraph,
     ZeroVolume,
     dump_edge_list,
+    expected_block_graph,
     generalized_random_graph,
     load_edge_list,
     vertex_subset,
 )
-from modspec.graph import default_vertex_ids
+from modspec.generators import blow_up, complete_graph, path_graph, two_cliques_bridge
+from modspec.graph import _index_dtype, default_vertex_ids
 from modspec.sampling import sample_subgraph
 from modspec.spectral import spectral_decomposition
 
@@ -598,3 +600,73 @@ def test_derived_graphs_are_frozen():
             h.csr = g.csr
     assert derived[1].weights.tolist() == [[0.0, 1.0], [1.0, 0.0]]
     assert derived[2].total_volume == pytest.approx(1.0)
+
+
+def test_every_graph_stores_32_bit_indices():
+    # parsed graphs store the generators' width, and graphs derived from a
+    # parsed one keep it; a caller's 64-bit array is narrowed
+    model = BlockModel((20, 20, 20), np.full((3, 3), 0.05) + np.diag([0.25] * 3))
+    made, _ = generalized_random_graph(model, 3)
+    text = dump_edge_list(made)
+    parsed = load_edge_list(text)
+    split = load_edge_list(text + "x0\tx1\t0.5\n")
+    assert not split.is_connected()
+    wide = csr_array(made.csr)
+    wide.indices, wide.indptr = wide.indices.astype(np.int64), wide.indptr.astype(np.int64)
+    graphs = {
+        "parsed": parsed, "generated": made, "expected": expected_block_graph(model),
+        "complete": complete_graph(5), "path": path_graph(5),
+        "two_cliques": two_cliques_bridge(4), "blow_up": blow_up(parsed, 3),
+        "induced": parsed.induced_subgraph(range(0, 60, 2)),
+        "largest_component": split.largest_component(),
+        "normalized": parsed.normalize_volume(),
+        "sample": sample_subgraph(parsed, 40, 1)[0], "caller_int64": WeightedGraph(wide),
+        "empty": load_edge_list(""),
+    }
+    assert graphs["largest_component"].n == parsed.n
+    for name, g in graphs.items():
+        assert g.csr.indices.dtype == np.int32, name
+        assert g.csr.indptr.dtype == np.int32, name
+    assert np.array_equal(graphs["caller_int64"].csr.indices, made.csr.indices)
+
+
+def test_index_dtype_widens_past_int32():
+    assert _index_dtype(0) is np.int32
+    assert _index_dtype(2**31 - 1) is np.int32
+    assert _index_dtype(2**31) is np.int64
+
+
+def test_parser_duplicate_key_does_not_wrap_at_32_bits():
+    # n = 70,000: the keys of (v00000, v15000) and (v61356, v62296) differ by
+    # exactly 2^32, so a key formed from the 32-bit indices reports a false
+    # duplicate
+    n = 70_000
+    path = "".join(f"v{i:05d}\tv{i + 1:05d}\t1\n" for i in range(n - 1))
+    g = load_edge_list(path + "v00000\tv15000\t1\nv61356\tv62296\t1\n")
+    assert g.n == n and g.csr.nnz == 2 * (n + 1)
+    assert g.csr.indices.dtype == np.int32
+    assert g.csr[[0], [15000]][0] == 1.0 and g.csr[[61356], [62296]][0] == 1.0
+
+
+@given(st.data())
+@settings(max_examples=100)
+def test_parsed_graph_has_the_generated_csr_arrays(data):
+    k = data.draw(st.integers(1, 3))
+    sizes = tuple(data.draw(st.lists(st.integers(1, 6), min_size=k, max_size=k)))
+    upper = np.triu(np.array(data.draw(st.lists(
+        st.sampled_from([0.0, 0.1, 0.3, 0.7, 1.0]), min_size=k * k, max_size=k * k)))
+        .reshape(k, k))
+    model = BlockModel(sizes, np.maximum(upper, upper.T))
+    if data.draw(st.booleans()):
+        g, _ = generalized_random_graph(model, data.draw(st.integers(0, 2**32 - 1)))
+    else:
+        g = expected_block_graph(model)
+    # a vertex without edges is not written
+    assume(g.degrees.all())
+    back = load_edge_list(dump_edge_list(g))
+    assert back.vertex_ids == g.vertex_ids
+    assert back.csr.shape == g.csr.shape
+    for got, want in zip((back.csr.data, back.csr.indices, back.csr.indptr),
+                         (g.csr.data, g.csr.indices, g.csr.indptr)):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -205,10 +206,10 @@ def test_subspace_convergence_distance_is_the_sine_of_the_tilt(monkeypatch):
     theta = 0.5
     real = sampling.spectral_decomposition
 
-    def tilted(gt, leading=None):
+    def tilted(gt, leading=None, values=None):
         if gt.n == g.n:
-            return real(gt, leading=leading)
-        v = real(gt, leading=leading + 1).vectors
+            return real(gt, leading=leading, values=values)
+        v = real(gt, leading=leading + 1, values=values).vectors
         vecs = v[:, :leading].copy()
         vecs[:, 0] = np.cos(theta) * v[:, 0] + np.sin(theta) * v[:, leading]
         return SimpleNamespace(n=gt.n, vectors=vecs)
@@ -283,6 +284,54 @@ def test_converge_references_are_bounded_requests(monkeypatch, mode):
         for key, value in want.items():
             if key != "trial":
                 assert got[key] == pytest.approx(value, rel=0.0, abs=1e-12, nan_ok=True)
+
+
+def test_blow_up_rows_are_bounded_requests(monkeypatch):
+    # with every graph large enough for eigsh, each blown-up graph is served
+    # by it, as its row reads only k - 1 vectors, and never densely
+    model = BlockModel((40, 40, 40), np.full((3, 3), 0.03) + np.diag([0.27] * 3))
+    g, _ = generalized_random_graph(model, 1)
+    factors = (1, 2, 4, 8)
+    dense = subspace_convergence(g, factors, 3)
+    sizes, blocks = [], []
+    real_eigsh, real_block = spectral.eigsh, spectral._block
+
+    def recording_eigsh(op, **kwargs):
+        sizes.append(op.shape[0])
+        return real_eigsh(op, **kwargs)
+
+    def recording_block(graph, size):
+        blocks.append(graph.n)
+        return real_block(graph, size)
+
+    monkeypatch.setattr(spectral, "SPARSE_MIN_N", 0)
+    monkeypatch.setattr(spectral, "eigsh", recording_eigsh)
+    monkeypatch.setattr(spectral, "_block", recording_block)
+    bounded = subspace_convergence(g, factors, 3)
+    assert {g.n * t - 1 for t in factors[1:]} <= set(sizes)
+    assert not set(blocks) & {g.n * t for t in factors[1:]}
+    assert bounded.reference["gap"] == pytest.approx(dense.reference["gap"], rel=0.0,
+                                                     abs=1e-12)
+    for got, want in zip(bounded.rows, dense.rows, strict=True):
+        assert got["t"] == want["t"]
+        assert got["distance"] == pytest.approx(want["distance"], rel=0.0, abs=1e-12)
+        assert got["distance"] <= 1e-10
+
+
+def test_blow_up_sweep_peaks_below_one_dense_block():
+    # the benchmark's blow-up: a planted 50x3 base up to t = 8, n = 1200,
+    # where a dense solve of the blow-up allocates a 1199^2 block of doubles
+    model = BlockModel((50, 50, 50), np.full((3, 3), 0.05) + np.diag([0.25] * 3))
+    g, _ = generalized_random_graph(model, 2)
+    tracemalloc.start()
+    try:
+        tab = subspace_convergence(g, (1, 2, 4, 8), 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(r["distance"] <= 1e-10 for r in tab.rows)
+    block = 8 * (8 * g.n - 1) ** 2
+    assert peak < block, f"peak {peak / 1e6:.1f} MB against a {block / 1e6:.1f} MB block"
 
 
 def test_coverage_flagging_on_sparse_graph():
