@@ -6,7 +6,10 @@ Vertex subsets are passed around as validated integer index arrays; use
 stores its weights once, as a read-only CSR array of the nonzero entries, so
 it costs O(n + nnz) memory and every reader in the package works on that
 array; ``weights`` hands out a dense copy for small graphs only.  The parser
-and the generators hand the constructor COO arrays of their edges.  Every
+and the generators hand the constructor COO arrays of their edges.  The
+parser reads a plain edge list (ASCII, only tabs and newlines between the
+fields, labels of at most 8 bytes) over its bytes with numpy and any other
+text line by line; both give the same graph or the same error.  Every
 graph stores 32-bit ``indices`` and ``indptr`` unless n or the number of
 stored weights needs 64 bits (:func:`_index_dtype`), however its array was
 made.  The largest weight and the connected components are cached on first
@@ -20,6 +23,7 @@ from itertools import repeat
 from typing import NoReturn
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.sparse import coo_array, csr_array, triu
 from scipy.sparse.csgraph import connected_components
 
@@ -30,6 +34,11 @@ from .errors import (
     SelfLoop,
     ZeroVolume,
 )
+
+
+# weight bytes cast to float at once by the plain parser: the byte table and
+# its mask stay small next to the text
+_BLOCK_BYTES = 1 << 18
 
 
 def default_vertex_ids(n: int) -> tuple[str, ...]:
@@ -218,7 +227,7 @@ def _check_lines(text: str, stop: int | None = None) -> NoReturn:
     lines are skipped and not counted.  Raises ParseError, SelfLoop,
     NegativeWeight, or DuplicateEdge with the offending line number, and
     AssertionError when the lines it covers are all valid: it is called
-    only after the bulk parse in :func:`load_edge_list` flagged one of them.
+    only after the bulk parse in :func:`_load_lines` flagged one of them.
     """
     seen: set[tuple[str, str]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -251,12 +260,27 @@ def _check_lines(text: str, stop: int | None = None) -> NoReturn:
     raise AssertionError("bulk edge-list parse flagged a line the per-line check accepts")
 
 
-def load_edge_list(text: str) -> WeightedGraph:
-    """Parse tab-separated ``u<TAB>v<TAB>w`` lines into a graph.
+def _bad_lines(iu: np.ndarray, iv: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
+    """Flag the parsed lines with a non-finite or negative weight, a self
+    loop, or the edge of an earlier line."""
+    bad = ~np.isfinite(w) | (w < 0) | (iu == iv)
+    # 64-bit: the key reaches n^2, past int32 from n = 46,341
+    key = np.minimum(iu, iv).astype(np.int64) * n + np.maximum(iu, iv)
+    repeated = np.ones(w.size, dtype=bool)
+    repeated[np.unique(key, return_index=True)[1]] = False
+    return bad | repeated
 
-    Blank lines and lines starting with ``#`` are skipped.  Vertices are
-    indexed in sorted label order.  Raises ParseError, SelfLoop,
-    NegativeWeight, or DuplicateEdge with the offending line number.
+
+def _edge_graph(iu: np.ndarray, iv: np.ndarray, w: np.ndarray,
+                ids: tuple[str, ...]) -> WeightedGraph:
+    """The graph of the edges iu[i] -- iv[i] with weights w[i]."""
+    n = len(ids)
+    both = (np.concatenate([iu, iv]), np.concatenate([iv, iu]))
+    return WeightedGraph(coo_array((np.concatenate([w, w]), both), shape=(n, n)), ids)
+
+
+def _load_lines(text: str) -> WeightedGraph:
+    """Parse any edge list as :func:`load_edge_list` describes.
 
     The lines are parsed in bulk; when any of them is flagged, the per-line
     checks re-run from the top so the error names the earliest bad line.
@@ -290,19 +314,86 @@ def load_edge_list(text: str) -> WeightedGraph:
     iu = np.fromiter(map(index.__getitem__, us), dtype=itype, count=m)
     iv = np.fromiter(map(index.__getitem__, vs), dtype=itype, count=m)
     del us, vs
-    bad = ~np.isfinite(w) | (w < 0) | (iu == iv)
+    bad = _bad_lines(iu, iv, w, n)
     if "" in index:
         bad |= (iu == index[""]) | (iv == index[""])
     del index
-    # 64-bit: the key reaches n^2, past int32 from n = 46,341
-    key = np.minimum(iu, iv).astype(np.int64) * n + np.maximum(iu, iv)
-    repeated = np.ones(m, dtype=bool)
-    repeated[np.unique(key, return_index=True)[1]] = False
-    bad |= repeated
     if bad.any():
         _check_lines(text, int(np.argmax(bad)) + 1)
-    both = (np.concatenate([iu, iv]), np.concatenate([iv, iu]))
-    return WeightedGraph(coo_array((np.concatenate([w, w]), both), shape=(n, n)), ids)
+    return _edge_graph(iu, iv, w, ids)
+
+
+def _load_plain(text: str) -> WeightedGraph | None:
+    """Parse a plain edge list over its bytes; None for any other text.
+
+    A text is plain when it is nonempty ASCII, every line (the last may
+    lack its newline) is ``u<TAB>v<TAB>w`` with nonempty fields, the tabs
+    and newlines are its only bytes below 33 (so it holds no space, no
+    carriage return and nothing else that ``strip`` or ``splitlines`` acts
+    on), no line starts with ``#`` and no label is longer than 8 bytes.
+    Each label is then its bytes, zero padded, read as one big-endian
+    64-bit key, whose order is the strings' order, and the weights are
+    numpy's casts of their bytes, which equal ``float``'s.  A plain text
+    with a bad line also gives None, so :func:`_load_lines` reports it.
+    """
+    if not text or not text.isascii():
+        return None
+    body = np.frombuffer(text.encode() + (b"" if text.endswith("\n") else b"\n"), np.uint8)
+    sep = np.flatnonzero(body < 33)
+    m = sep.size // 3
+    if sep.size % 3 or not (body[sep].reshape(m, 3) == (9, 9, 10)).all():
+        return None
+    start = np.concatenate(([0], sep[:-1] + 1)).reshape(m, 3)
+    length = sep.reshape(m, 3) - start
+    if not length.all() or length[:, :2].max() > 8 or (body[start[:, 0]] == 35).any():
+        return None
+    width = int(length[:, 2].max())
+    # zero padding lets a window of either width start at every field
+    b = np.concatenate((body, np.zeros(max(8, width), np.uint8)))
+    del body, sep
+    # the u label of every line, then the v label of every line: the 8
+    # bytes from its start, with those past its end shifted out
+    keys = sliding_window_view(b, 8)[start[:, :2].T.ravel()].view(">u8").astype(np.uint64)
+    cut = (8 * (8 - length[:, :2].T.reshape(-1, 1))).astype(np.uint64)
+    keys >>= cut
+    keys <<= cut
+    ids, inverse = np.unique(keys.ravel(), return_inverse=True)
+    del keys, cut
+    n = ids.size
+    ids = tuple(ids.astype(">u8").view("S8").astype(str).tolist())
+    inverse = inverse.astype(_index_dtype(n))
+    windows = sliding_window_view(b, width)
+    w = np.empty(m)
+    step = max(1, _BLOCK_BYTES // width)
+    for lo in range(0, m, step):
+        cells = windows[start[lo:lo + step, 2]]
+        cells *= np.arange(width) < length[lo:lo + step, 2:]
+        try:
+            w[lo:lo + step] = cells.view(f"S{width}").ravel().astype(float)
+        except ValueError:
+            return None
+    iu, iv = inverse[:m], inverse[m:]
+    if _bad_lines(iu, iv, w, n).any():
+        return None
+    return _edge_graph(iu, iv, w, ids)
+
+
+def load_edge_list(text: str) -> WeightedGraph:
+    """Parse tab-separated ``u<TAB>v<TAB>w`` lines into a graph.
+
+    Blank lines and lines starting with ``#`` are skipped.  Vertices are
+    indexed in sorted label order.  Raises ParseError, SelfLoop,
+    NegativeWeight, or DuplicateEdge with the offending line number.
+
+    A plain text (:func:`_load_plain`: ASCII, no whitespace but the tabs and
+    newlines, no comment or blank line, labels of at most 8 bytes), such as
+    every text :func:`dump_edge_list` writes for a block-model or classical
+    graph of up to 10^7 vertices, is parsed over its bytes with numpy.  Any other text, and a plain one with
+    a bad line, is parsed line by line (:func:`_load_lines`), which gives
+    the same graph or reports the earliest bad line.
+    """
+    g = _load_plain(text)
+    return _load_lines(text) if g is None else g
 
 
 def _check_dump_label(label: str) -> None:

@@ -12,9 +12,10 @@ Experiments measure each draw's ``largest_component()`` for every (m, trial)
 and flag rows whose coverage (its vertex count over m) is below 0.9 instead
 of dropping them.  Per-trial seeds derive from (seed, m, trial) through
 numpy's SeedSequence, so a row does not depend on the rest of the schedule.
-The full graph's reference and every blow-up ask only for the eigenvalues
-and vectors they read, so past ``spectral.SPARSE_MIN_N`` vertices they are
-served by ``eigsh``; a sample's decomposition holds every eigenvalue.
+Every decomposition, of the full graph, of a sample or of a blow-up, asks
+only for the eigenvalues and vectors it reads (j values, or k - 1 vectors),
+so past ``spectral.SPARSE_MIN_N`` vertices it is served by ``eigsh``; below
+that the dense path solves every eigenvalue, whatever was asked.
 """
 from __future__ import annotations
 
@@ -149,7 +150,7 @@ def spectral_convergence(g: WeightedGraph, schedule, trials: int, j: int,
     def measure(sub, child):
         if sub.n <= j or sub.total_volume <= 0:
             return None
-        mus = spectral_decomposition(sub, leading=0).mus[:j]
+        mus = spectral_decomposition(sub, leading=0, values=j).top_mus(j)
         return (*mus, *np.abs(mus - ref_mus))
 
     values = (*[f"mu_{i + 1}" for i in range(j)], *[f"err_{i + 1}" for i in range(j)])
@@ -219,7 +220,8 @@ def k_variance_convergence(g: WeightedGraph, schedule, trials: int, k: int, seed
     def measure(sub, child):
         if sub.n < k or sub.total_volume <= 0:
             return None
-        sreps = representatives(spectral_decomposition(sub, leading=k - 1), sub, k)
+        sreps = representatives(spectral_decomposition(sub, leading=k - 1, values=k - 1),
+                                sub, k)
         _, value = weighted_kmeans(sreps, k, restarts=restarts, seed=child)
         return value, abs(value - ref_value)
 

@@ -373,11 +373,11 @@ def _hides_a_copy(apply, y: np.ndarray, bound: float) -> bool:
     repeated eigenvalue fewer times than it occurs; roundoff usually brings
     the other copies in, but not for a value near the bulk.  Such a copy is
     an eigenvalue of the operator projected off y, and a second eigsh, from
-    a start vector of its own, looks for both ends of that projection: any
-    Ritz value beyond the bound proves a missed copy.  On the 2100-vertex
-    benchmark graph with three twin pairs adding a triple eigenvalue at the
-    bulk edge, it found a copy dropped from the first run down to 1.2e-4
-    beyond the bound.
+    a start vector of its own, looks for the one largest magnitude of that
+    projection, the only value read: a Ritz value beyond the bound proves a
+    missed copy.  On the 2100-vertex benchmark graph with three twin pairs
+    adding a triple eigenvalue at the bulk edge, it found a copy dropped
+    from the first run down to 1.2e-4 beyond the bound.
     """
     def projected(x):
         x = np.ravel(x)
@@ -385,7 +385,7 @@ def _hides_a_copy(apply, y: np.ndarray, bound: float) -> bool:
         u = apply(x)
         return u - y @ (y.T @ u)
 
-    theta = _eigsh(projected, y.shape[0], 2, "BE", 1e-4, 1, vectors=False)
+    theta = _eigsh(projected, y.shape[0], 1, "LM", 1e-4, 1, vectors=False)
     # Ritz values lie inside the spectrum; 1e-12 covers the roundoff of the
     # projection
     return np.abs(theta).max() > bound + 1e-12

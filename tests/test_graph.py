@@ -22,7 +22,9 @@ from modspec import (
     load_edge_list,
     vertex_subset,
 )
-from modspec.generators import blow_up, complete_graph, path_graph, two_cliques_bridge
+from modspec import graph
+from modspec.generators import (blow_up, classical, complete_graph, path_graph,
+                               two_cliques_bridge)
 from modspec.graph import _index_dtype, default_vertex_ids
 from modspec.sampling import sample_subgraph
 from modspec.spectral import spectral_decomposition
@@ -422,6 +424,138 @@ def test_reader_edge_cases_match_reference():
                  "a\tb\t1_0\n", " a \t b \t 2 \n", "a\tb\t0\nb\tc\t0\n", "b\ta\t1\na\tc\t1\n",
                  "a\tb\t1\x1cc\td\t2\n", "a\tb\t1\x85a\tb\t2\n"]:
         assert_same_as_reference(text)
+
+
+# ------------------------------------------------------------ plain path
+
+# labels of 1-9 bytes, prefixes of each other and digit strings whose text
+# order is not their number order (a 9-byte label keeps a text off the
+# plain path); then labels that keep a text off it or break its line
+EDGE_LABELS = ("a", "b", "ab", "a!", "~", "9", "10", "v0", "v09", "abcdefgh", "abcdefg",
+          "abcdefgi", "abcdefghi", "x#1", "\x7f")
+OTHER_LABELS = ("é", "a b", " a", "b ", "", "#c")
+# weight tokens that float() and numpy's cast of their bytes both read
+# alike, then tokens that both reject or that keep a line from being read
+GOOD_WEIGHTS = ("1", "0.5", "0", "-0.0", "1_0", "1e-400", "4.9e-324", "2.4703282292062327e-324",
+                ".5", "1.", "0001", "9007199254740993", "0.30000000000000004")
+BAD_WEIGHTS = ("1__0", "inf", "INF", "infinity", "+nan", "-1", "1e400", "0x10", "1d5", "1,5",
+               "1.5e", "nan(123)", "x", "_1", "", " 1", "1 ", "١")
+
+
+def parsed(reader, text):
+    """Labels and CSR bytes and dtypes of the graph a reader returns, or the
+    class and message of the error it raises."""
+    try:
+        g = reader(text)
+    except Exception as exc:  # the class and message are what is compared
+        return ("error", type(exc), str(exc))
+    return ("graph", g.vertex_ids,
+            *((a.dtype, a.tobytes()) for a in (g.csr.data, g.csr.indices, g.csr.indptr)))
+
+
+@st.composite
+def nearly_plain_texts(draw):
+    lines = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(("edge",) * 30 + ("repeat", "other", "comment", "blank",
+                                                      "fields", "tabs", "loop")))
+        edges = [line for line in lines if line.count("\t") == 2]
+        if kind == "repeat" and edges:
+            u, v, w = draw(st.sampled_from(edges)).split("\t")
+            line = "\t".join((v, u, w) if draw(st.booleans()) else (u, v, w))
+        elif kind == "other":
+            u, v = (draw(st.sampled_from(EDGE_LABELS + OTHER_LABELS)) for _ in range(2))
+            line = f"{u}\t{v}\t{draw(st.sampled_from(GOOD_WEIGHTS + BAD_WEIGHTS))}"
+        elif kind == "comment":
+            line = draw(st.sampled_from(("# note", "#a\tb\t1", "#")))
+        elif kind == "blank":
+            line = draw(st.sampled_from(("", " ", "\t")))
+        elif kind == "fields":
+            line = "\t".join(draw(st.lists(st.sampled_from(EDGE_LABELS), max_size=4)))
+        elif kind == "tabs":
+            u, v = draw(st.sampled_from(EDGE_LABELS)), draw(st.sampled_from(EDGE_LABELS))
+            line = draw(st.sampled_from(("\t{}\t{}\t1", "{}\t{}\t1\t", "{}\t\t{}\t1"))).format(u, v)
+        elif kind == "loop":
+            u = draw(st.sampled_from(EDGE_LABELS))
+            line = f"{u}\t{u}\t1.0"
+        else:
+            u = draw(st.sampled_from(EDGE_LABELS))
+            v = draw(st.sampled_from([x for x in EDGE_LABELS if x != u]))
+            w = draw(st.sampled_from(("1.0",) * 8 + GOOD_WEIGHTS))
+            line = f"{u}\t{v}\t{w}"
+        lines.append(line)
+    ends = draw(st.lists(st.sampled_from(("\n",) * 30 + ("\r\n", "\r", "\x0c")),
+                         min_size=len(lines), max_size=len(lines)))
+    text = "".join(map(str.__add__, lines, ends))
+    return text[:-1] if draw(st.booleans()) else text
+
+
+@given(nearly_plain_texts())
+@settings(max_examples=600)
+def test_plain_path_agrees_with_the_line_parser(text):
+    # the same graph, bytes and dtypes included, or the same error class,
+    # message and line number
+    assert parsed(load_edge_list, text) == parsed(graph._load_lines, text), repr(text)
+
+
+@pytest.mark.parametrize("text", [
+    "a\tb\t1\n", "a\tb\t1", "abcdefgh\tb\t1\n", "10\t9\t2\n9\tab\t0.5\n", "x#1\ta\t1\n",
+    "a\tb\t4.9e-324\nb\tc\t2.4703282292062327e-324\nc\td\t1\n",
+    *(f"a\tb\t{w}\n" for w in ("1_0", "1e-300", ".5", "1.", "0001", "9007199254740993")),
+])
+def test_plain_texts_take_the_plain_path(text):
+    plain = graph._load_plain(text)
+    assert plain is not None
+    assert parsed(lambda _: plain, text) == parsed(graph._load_lines, text)
+
+
+@pytest.mark.parametrize("text", [
+    "", "\n", "abcdefghi\tb\t1\n", "é\tb\t1\n", "a b\tc\t1\n", "a\tb\t1\r\n", "a\tb\t1\n\n",
+    "# c\na\tb\t1\n", "a\tb\t 1\n", "\ta\tb\t1\n", "a\t\tb\n", "a\tb\n", "a\tb\t1\tc\n",
+    "a\tb\t1\x0cc\td\t1\n", "a\tb\t1\x1cc\td\t1\n", "a\tb\t1\x00\n",
+    # plain, with a bad line
+    "a\tb\tx\n", "a\tb\t1__0\n", "a\tb\tinf\n", "a\tb\t-1\n", "a\ta\t1\n", "a\tb\t1\nb\ta\t2\n",
+])
+def test_other_texts_go_to_the_line_parser(text):
+    assert graph._load_plain(text) is None
+
+
+def test_dumps_of_generated_graphs_take_the_plain_path(monkeypatch):
+    probs = np.full((3, 3), 0.1)
+    np.fill_diagonal(probs, 0.6)
+    planted, _ = generalized_random_graph(BlockModel((20, 20, 20), probs), 3)
+    graphs = (planted, complete_graph(5), path_graph(12), two_cliques_bridge(4),
+              classical("complete_bipartite", 3, 4), blow_up(planted, 3),
+              planted.normalize_volume(), expected_block_graph(BlockModel((4, 5), probs[:2, :2])))
+
+    def unused(text):
+        raise AssertionError("the line parser served a dump of a generated graph")
+
+    monkeypatch.setattr(graph, "_load_lines", unused)
+    for g in graphs:
+        back = load_edge_list(dump_edge_list(g))
+        assert back.vertex_ids == g.vertex_ids
+        for got, want in zip((back.csr.data, back.csr.indices, back.csr.indptr),
+                             (g.csr.data, g.csr.indices, g.csr.indptr)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_plain_path_peaks_below_the_line_parser():
+    # the plain path's arrays take less memory than the line parser's
+    # strings, also for the long repr weights of a normalized graph
+    probs = np.full((3, 3), 0.05)
+    np.fill_diagonal(probs, 0.3)
+    g, _ = generalized_random_graph(BlockModel((200, 200, 200), probs), 4)
+    for text in (dump_edge_list(g), dump_edge_list(g.normalize_volume())):
+        peaks = []
+        for reader in (load_edge_list, graph._load_lines):
+            tracemalloc.start()
+            try:
+                reader(text)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < peaks[1]
 
 
 def test_dump_rejects_labels_that_cannot_load_back():

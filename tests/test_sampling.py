@@ -252,9 +252,9 @@ def test_k_variance_convergence_table():
 
 @pytest.mark.parametrize("mode", ["spectrum", "kvariance"])
 def test_converge_references_are_bounded_requests(monkeypatch, mode):
-    # with every graph large enough for eigsh, the full graph's reference is
-    # served by it, as the reference reads only j values or k - 1 vectors;
-    # the samples read every value and stay dense
+    # with every graph large enough for eigsh, the full graph's reference
+    # and every sample sparse enough for it are served by it, as each reads
+    # only j values or k - 1 vectors
     model = BlockModel((40, 40, 40), np.full((3, 3), 0.03) + np.diag([0.27] * 3))
     g, _ = generalized_random_graph(model, 1)
     if mode == "spectrum":
@@ -274,7 +274,10 @@ def test_converge_references_are_bounded_requests(monkeypatch, mode):
     monkeypatch.setattr(spectral, "SPARSE_MIN_N", 0)
     monkeypatch.setattr(spectral, "eigsh", recording)
     bounded = run()
-    assert sizes and set(sizes) == {g.n - 1}
+    draws = [sample_subgraph(g, m, derive_trial_seed(1, m, trial))[0].largest_component()
+             for m in (30, 60) for trial in range(2)]
+    sparse = {sub.n - 1 for sub in draws if sub.csr.nnz <= spectral.SPARSE_MAX_FILL * sub.n ** 2}
+    assert len(sparse) >= 2 and set(sizes) == {g.n - 1} | sparse
     assert bounded.reference.keys() == dense.reference.keys()
     for key, value in dense.reference.items():
         assert np.allclose(bounded.reference[key], value, rtol=0.0, atol=1e-12)

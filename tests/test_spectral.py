@@ -888,7 +888,7 @@ def test_sparse_cluster_reports_are_deterministic_and_match_dense(monkeypatch, t
         assert main(argv) == 0
         outs.append(capsys.readouterr().out)
     # per run: the solve, then the search for a copy it did not return
-    assert calls == [(16, True), (2, False)] * 2
+    assert calls == [(16, True), (1, False)] * 2
     assert outs[0] == outs[1]
     monkeypatch.setattr(spectral, "SPARSE_MIN_N", g.n + 1)
     assert main(argv) == 0
