@@ -8,19 +8,19 @@ it costs O(n + nnz) memory and every reader in the package works on that
 array; ``weights`` hands out a dense copy for small graphs only.  The parser
 and the generators hand the constructor COO arrays of their edges.  The
 parser reads a plain edge list (ASCII, only tabs and newlines between the
-fields, labels of at most 8 bytes) over its bytes with numpy and any other
-text line by line; both give the same graph or the same error.  Every
-graph stores 32-bit ``indices`` and ``indptr`` unless n or the number of
-stored weights needs 64 bits (:func:`_index_dtype`), however its array was
-made.  The largest weight and the connected components are cached on first
-use.
+fields, labels of at most 8 bytes) over its bytes with numpy; any other
+text is read in one pass that checks each line as it reads it.  Both give
+the same graph or the same error.  Every graph stores 32-bit ``indices``
+and ``indptr`` unless n or the number of stored weights needs 64 bits
+(:func:`_index_dtype`), however its array was made.  The largest weight
+and the connected components are cached on first use.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
-from typing import NoReturn
+from itertools import chain
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -113,8 +113,8 @@ class WeightedGraph:
             raise ValueError("weight matrix must be symmetric")
         if w.diagonal().any():
             raise SelfLoop("nonzero diagonal entry in weight matrix")
-        if vertex_ids:
-            ids = tuple(str(v) for v in vertex_ids)
+        ids = tuple(map(str, vertex_ids))
+        if ids:
             if len(ids) != n:
                 raise ValueError("vertex_ids length must match matrix size")
             if len(set(ids)) != n:
@@ -220,49 +220,10 @@ class WeightedGraph:
         return self.csr[slots][:, slots]
 
 
-def _check_lines(text: str, stop: int | None = None) -> NoReturn:
-    """Check edge-list lines one at a time and raise at the first bad one.
-
-    Covers the first ``stop`` data lines (all when None); blank and ``#``
-    lines are skipped and not counted.  Raises ParseError, SelfLoop,
-    NegativeWeight, or DuplicateEdge with the offending line number, and
-    AssertionError when the lines it covers are all valid: it is called
-    only after the bulk parse in :func:`_load_lines` flagged one of them.
-    """
-    seen: set[tuple[str, str]] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        # every data line checked so far added one key
-        if stop is not None and len(seen) >= stop:
-            break
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise ParseError(f"line {lineno}: expected 3 tab-separated fields, got {len(parts)}")
-        u, v, wtext = (p.strip() for p in parts)
-        if not u or not v:
-            raise ParseError(f"line {lineno}: empty vertex label")
-        try:
-            w = float(wtext)
-        except ValueError:
-            raise ParseError(f"line {lineno}: bad weight {wtext!r}") from None
-        if not np.isfinite(w):
-            raise ParseError(f"line {lineno}: weight must be finite")
-        if w < 0:
-            raise NegativeWeight(f"line {lineno}: negative weight {w}")
-        if u == v:
-            raise SelfLoop(f"line {lineno}: self loop at {u!r}")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise DuplicateEdge(f"line {lineno}: duplicate edge {u!r} -- {v!r}")
-        seen.add(key)
-    raise AssertionError("bulk edge-list parse flagged a line the per-line check accepts")
-
-
 def _bad_lines(iu: np.ndarray, iv: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
     """Flag the parsed lines with a non-finite or negative weight, a self
-    loop, or the edge of an earlier line."""
+    loop, or the edge of an earlier line; only the plain path needs this,
+    as the line parser checks each line as it reads it."""
     bad = ~np.isfinite(w) | (w < 0) | (iu == iv)
     # 64-bit: the key reaches n^2, past int32 from n = 46,341
     key = np.minimum(iu, iv).astype(np.int64) * n + np.maximum(iu, iv)
@@ -282,45 +243,46 @@ def _edge_graph(iu: np.ndarray, iv: np.ndarray, w: np.ndarray,
 def _load_lines(text: str) -> WeightedGraph:
     """Parse any edge list as :func:`load_edge_list` describes.
 
-    The lines are parsed in bulk; when any of them is flagged, the per-line
-    checks re-run from the top so the error names the earliest bad line.
+    One pass checks each line as it reads it, so the first bad line raises.
+    Labels get integer ids in first-seen order and each edge is kept under
+    its ordered id pair; the ids are renumbered in sorted label order at the
+    end.
     """
-    lines = [s for s in map(str.strip, text.splitlines()) if s and s[0] != "#"]
-    m = len(lines)
-    if m == 0:
-        return WeightedGraph(np.zeros((0, 0)), ())
-    tabs = np.fromiter(map(str.count, lines, repeat("\t")), dtype=np.intp, count=m)
-    if (tabs != 2).any():
-        _check_lines(text, int(np.argmax(tabs != 2)) + 1)
-    # each parsed list is dropped once used, before the CSR array is built
-    fields = "\t".join(lines).split("\t")
-    del lines
-    us = list(map(str.strip, fields[0::3]))
-    vs = list(map(str.strip, fields[1::3]))
-    try:
-        w = np.fromiter(map(float, fields[2::3]), dtype=float, count=m)
-    except ValueError:
-        _check_lines(text)
-    del fields
-    labels = set(us)
-    labels.update(vs)
-    # fresh label strings: keeping the parsed ones would pin the memory of
-    # all the fields around them
-    ids = tuple("\t".join(sorted(labels)).split("\t"))
-    del labels
-    n = len(ids)
-    index = dict(zip(ids, range(n)))
-    itype = _index_dtype(n)
-    iu = np.fromiter(map(index.__getitem__, us), dtype=itype, count=m)
-    iv = np.fromiter(map(index.__getitem__, vs), dtype=itype, count=m)
-    del us, vs
-    bad = _bad_lines(iu, iv, w, n)
-    if "" in index:
-        bad |= (iu == index[""]) | (iv == index[""])
+    index: dict[str, int] = {}
+    edges: dict[tuple[int, int], float] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise ParseError(f"line {lineno}: expected 3 tab-separated fields, got {len(parts)}")
+        u, v, wtext = map(str.strip, parts)
+        if not u or not v:
+            raise ParseError(f"line {lineno}: empty vertex label")
+        try:
+            w = float(wtext)
+        except ValueError:
+            raise ParseError(f"line {lineno}: bad weight {wtext!r}") from None
+        if not math.isfinite(w):
+            raise ParseError(f"line {lineno}: weight must be finite")
+        if w < 0:
+            raise NegativeWeight(f"line {lineno}: negative weight {w}")
+        if u == v:
+            raise SelfLoop(f"line {lineno}: self loop at {u!r}")
+        a, b = index.setdefault(u, len(index)), index.setdefault(v, len(index))
+        key = (a, b) if a < b else (b, a)
+        if key in edges:
+            raise DuplicateEdge(f"line {lineno}: duplicate edge {u!r} -- {v!r}")
+        edges[key] = w
+    ids = tuple(sorted(index))
+    rank = np.empty(len(ids), _index_dtype(len(ids)))
+    rank[[index[label] for label in ids]] = np.arange(len(ids))
     del index
-    if bad.any():
-        _check_lines(text, int(np.argmax(bad)) + 1)
-    return _edge_graph(iu, iv, w, ids)
+    pairs = rank[np.fromiter(chain.from_iterable(edges), dtype=np.intp, count=2 * len(edges))]
+    w = np.fromiter(edges.values(), dtype=float, count=len(edges))
+    del edges
+    return _edge_graph(pairs[0::2], pairs[1::2], w, ids)
 
 
 def _load_plain(text: str) -> WeightedGraph | None:
@@ -388,9 +350,10 @@ def load_edge_list(text: str) -> WeightedGraph:
     A plain text (:func:`_load_plain`: ASCII, no whitespace but the tabs and
     newlines, no comment or blank line, labels of at most 8 bytes), such as
     every text :func:`dump_edge_list` writes for a block-model or classical
-    graph of up to 10^7 vertices, is parsed over its bytes with numpy.  Any other text, and a plain one with
-    a bad line, is parsed line by line (:func:`_load_lines`), which gives
-    the same graph or reports the earliest bad line.
+    graph of up to 10^7 vertices, is parsed over its bytes with numpy.  Any
+    other text, and a plain one with a bad line, is read line by line
+    (:func:`_load_lines`), which gives the same graph or reports the
+    earliest bad line.
     """
     g = _load_plain(text)
     return _load_lines(text) if g is None else g

@@ -90,6 +90,11 @@ def test_constructor_validation():
         WeightedGraph(np.zeros((2, 2)), ("a",))
     with pytest.raises(ValueError):
         WeightedGraph(np.zeros((2, 2)), ("a", "a"))
+    # labels in an array: no truth test of the array, and "" is a label
+    assert WeightedGraph(np.zeros((2, 2)), np.array(["a", "b"])).vertex_ids == ("a", "b")
+    assert WeightedGraph(np.zeros((1, 1)), np.array([""])).vertex_ids == ("",)
+    with pytest.raises(ValueError, match="length must match"):
+        WeightedGraph(np.zeros((2, 2)), np.array(["a", "b", "c"]))
 
 
 def test_total_volume_must_be_zero_or_a_normal_float():
@@ -547,6 +552,9 @@ def test_plain_path_peaks_below_the_line_parser():
     np.fill_diagonal(probs, 0.3)
     g, _ = generalized_random_graph(BlockModel((200, 200, 200), probs), 4)
     for text in (dump_edge_list(g), dump_edge_list(g.normalize_volume())):
+        # hundreds of labels, first seen out of sorted order: the line
+        # parser's renumbering gives the plain path's graph
+        assert parsed(graph._load_lines, text) == parsed(load_edge_list, text)
         peaks = []
         for reader in (load_edge_list, graph._load_lines):
             tracemalloc.start()
