@@ -1,4 +1,4 @@
-"""Discrepancy machinery: cut norms, mixing bounds, volume-regularity alpha.
+"""Discrepancy machinery: cut norms and volume-regularity alpha.
 
 Volume-regularity alpha of a cluster pair (A, B) is the cut norm of the
 centered block C = W_AB - rho d_A d_B^T divided by the pair's normalizer,
@@ -21,87 +21,15 @@ from .clustering import Partition, k_variance, representatives
 from .spectral import SpectralDecomposition, eigendecompose
 from .sampling import derive_trial_seed
 
-MIXING_EXACT_LIMIT = 12
 ENUM_LIMIT = 24
 FLIP_CAP = 1000
 _CHUNK = 1 << 22  # max float64 cells materialized at once by enumerations
-_MIXING_CHUNK = 1 << 19  # cells per array in verify_mixing's exhaustive scan
 
 
 def _bit_table(n: int) -> np.ndarray:
     """All 2^n inclusion vectors as a (2^n, n) float array, mask order."""
     masks = np.arange(1 << n, dtype=np.uint32)
     return ((masks[:, None] >> np.arange(n)[None, :]) & 1).astype(float)
-
-
-def mixing_discrepancy(g: WeightedGraph, left, right) -> float:
-    """|cut weight minus product of volumes| for a volume-normalized graph."""
-    return abs(g.weighted_cut(left, right) - g.volume(left) * g.volume(right))
-
-
-def verify_mixing(g: WeightedGraph, *, samples: int | None = None,
-                  seed: int | None = None) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
-    """Maximum of discrepancy / sqrt(volume product) over nonempty subset pairs.
-
-    Exhaustive over all pairs when ``samples`` is None (needs n <= 12), else
-    over ``samples`` seeded random pairs.  The maximum is a lower bound for
-    the spectral norm of the normalized modularity matrix; exceeding it
-    signals an implementation bug, which tests assert.
-    """
-    if g.n == 0:
-        raise ZeroVolume("mixing needs at least one vertex")
-    d = g.degrees
-    w = g.weights
-    n = g.n
-    if samples is None:
-        if n > MIXING_EXACT_LIMIT:
-            raise TooLarge(f"n={n} exceeds exhaustive limit {MIXING_EXACT_LIMIT}")
-        bits = _bit_table(n)[1:]
-        vols = bits @ d
-        cross = bits @ w
-        best = -1.0
-        best_pair = (0, 0)
-        rows_per = max(1, _MIXING_CHUNK // max(bits.shape[0], 1))
-        for start in range(0, bits.shape[0], rows_per):
-            stop = min(start + rows_per, bits.shape[0])
-            # |w(X, Y) - vol X vol Y| / sqrt(vol X vol Y), in place on two
-            # chunk-sized arrays
-            ratio = cross[start:stop] @ bits.T
-            prod = np.outer(vols[start:stop], vols)
-            empty = prod <= 0
-            ratio -= prod
-            np.abs(ratio, out=ratio)
-            np.sqrt(prod, out=prod)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                ratio /= prod
-            ratio[empty] = 0.0
-            flat = int(np.argmax(ratio))
-            val = float(ratio.flat[flat])
-            if val > best:
-                best = val
-                best_pair = (start + flat // ratio.shape[1], flat % ratio.shape[1])
-        xi, yi = best_pair
-        witness = (np.flatnonzero(bits[xi]), np.flatnonzero(bits[yi]))
-        return best, witness
-    if samples < 1 or seed is None:
-        raise ValueError("sampled mode needs samples >= 1 and a seed")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    bx = rng.random((samples, n)) < 0.5
-    by = rng.random((samples, n)) < 0.5
-    for bits in (bx, by):
-        empty = np.flatnonzero(~bits.any(axis=1))
-        while empty.size:
-            bits[empty] = rng.random((empty.size, n)) < 0.5
-            empty = empty[~bits[empty].any(axis=1)]
-    fx = bx.astype(float)
-    fy = by.astype(float)
-    wxy = np.einsum("ta,ab,tb->t", fx, w, fy)
-    prod = (fx @ d) * (fy @ d)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = np.abs(wxy - prod) / np.sqrt(prod)
-    ratio[prod <= 0] = 0.0
-    t = int(np.argmax(ratio))
-    return float(ratio[t]), (np.flatnonzero(bx[t]), np.flatnonzero(by[t]))
 
 
 def _row_subset_sums(a: np.ndarray) -> np.ndarray:
@@ -372,11 +300,6 @@ def sin_theta_check(a_mat, b_mat, a_interval, b_interval) -> tuple[float, float]
     """
     a = np.asarray(a_mat, dtype=float)
     b = np.asarray(b_mat, dtype=float)
-    for mat in (a, b):
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError("matrices must be square")
-        if not np.allclose(mat, mat.T, atol=1e-12, rtol=0.0):
-            raise ValueError("matrices must be symmetric")
     if a.shape != b.shape:
         raise ValueError("matrices must share a shape")
     dec_a, dec_b = eigendecompose(a), eigendecompose(b)

@@ -133,6 +133,8 @@ def order_by_abs(lambdas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _prefix(values: np.ndarray, n: int, count: int | None) -> np.ndarray:
+    if count is not None and count < 0:
+        raise ValueError("count must be >= 0")
     want = n if count is None else min(count, n)
     if want > values.size:
         raise Unsolved(f"{want} eigenvalues read, but only {values.size} of {n} were solved")
@@ -420,6 +422,8 @@ def spectral_decomposition(g: WeightedGraph, leading: int | None = None,
     """
     n = g.n
     r = _column_count(leading, n)
+    if values is not None and values < 0:
+        raise ValueError("values must be >= 0")
     if eps is not None:
         _check_eps(eps)
     q, inv_root = _root_degrees(g)

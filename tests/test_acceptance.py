@@ -40,7 +40,6 @@ from modspec import (
     spectral_decomposition,
     structural_count,
     subspace_convergence,
-    verify_mixing,
     volume_regularity_alpha,
     weighted_kmeans,
 )
@@ -149,6 +148,20 @@ def test_criterion_03_relaxation_bound():
           f"max value-minus-bound {worst_margin:.2e} (tol 1e-10)")
 
 
+def _mixing_table_oracle(g):
+    # every nonempty subset pair scored in one table, first maximum in mask
+    # order
+    n = g.n
+    bits = ((np.arange(1, 1 << n)[:, None] >> np.arange(n)) & 1).astype(float)
+    vols = bits @ g.degrees
+    prod = np.outer(vols, vols)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ratio = np.abs((bits @ g.weights) @ bits.T - prod) / np.sqrt(prod)
+    ratio[prod <= 0] = 0.0
+    x, y = np.unravel_index(int(np.argmax(ratio)), ratio.shape)
+    return float(ratio[x, y]), np.flatnonzero(bits[x]), np.flatnonzero(bits[y])
+
+
 def test_criterion_04_expander_mixing():
     rng = np.random.default_rng(103)
     violations = 0
@@ -157,7 +170,7 @@ def test_criterion_04_expander_mixing():
     for t, n in enumerate(sizes):
         g = random_connected(rng, n).normalize_volume()
         dec = spectral_decomposition(g)
-        best, _ = verify_mixing(g)
+        best, _, _ = _mixing_table_oracle(g)
         margin = best - dec.spectral_norm
         worst = max(worst, margin)
         if margin > 1e-10:

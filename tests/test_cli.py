@@ -4,7 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from modspec import cli, openblas, sampling
+import modspec
+from modspec import WeightedGraph, cli, openblas, sampling
 from modspec.cli import main, render_json
 from modspec.generators import two_cliques_bridge
 from modspec.graph import dump_edge_list
@@ -436,3 +437,40 @@ def test_commands_without_blas_thread_control_print_the_same_bytes(block_tsv, ca
     # a build without the symbols is found to have none
     assert openblas._lookup(openblas.POOLS["numpy"][0], "_no_such_suffix") is None
     assert openblas._lookup("modspec.no_such_module", "") is None
+
+
+@pytest.mark.parametrize("command", ["cluster", "regularity"])
+def test_a_duality_residual_over_the_tolerance_exits_3(bridge_tsv, capsys, monkeypatch,
+                                                        command):
+    # no residual is below a negative tolerance, so the self-check must fire
+    monkeypatch.setattr(cli, "DUALITY_TOL", -1.0)
+    code, out, err = run(capsys, command, bridge_tsv, "--k", "2", "--seed", "0")
+    assert code == 3 and out == ""
+    assert "InternalNumericalError: duality residual" in err
+
+
+def test_no_command_reads_the_dense_weights(block_tsv, tmp_path, capsys, monkeypatch):
+    def dense(self):
+        raise AssertionError("WeightedGraph.weights read")
+
+    monkeypatch.setattr(WeightedGraph, "weights", property(dense))
+    out = str(tmp_path / "out")
+    for argv in (
+        ("spectrum", block_tsv, "--eps", "0.3"),
+        ("cluster", block_tsv, "--k", "2", "--seed", "1"),
+        ("regularity", block_tsv, "--k", "2", "--seed", "1"),
+        ("converge", block_tsv, "--mode", "spectrum", "--schedule", "8,16",
+         "--trials", "2", "--j", "2", "--seed", "5", "-o", out),
+        ("converge", block_tsv, "--mode", "kvariance", "--schedule", "8,16",
+         "--trials", "2", "--k", "2", "--seed", "1", "-o", out),
+        ("converge", block_tsv, "--mode", "blowup", "--schedule", "1,2", "--k", "2",
+         "-o", out),
+        ("generate", "block", "--sizes", "6,6", "--p", "0.6,0.1;0.1,0.6", "--seed", "2",
+         "-o", out),
+        ("generate", "classical", "--name", "two_cliques_bridge", "--m", "4", "-o", out),
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
+    # a removed name cannot linger in the export list
+    assert len(set(modspec.__all__)) == len(modspec.__all__)
+    assert [name for name in modspec.__all__ if not hasattr(modspec, name)] == []

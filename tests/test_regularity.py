@@ -18,11 +18,9 @@ from modspec import (
     cut_norm_exact_bilinear,
     expected_block_graph,
     generalized_random_graph,
-    mixing_discrepancy,
     regularity_certificate,
     sin_theta_check,
     spectral_decomposition,
-    verify_mixing,
     volume_regularity_alpha,
 )
 from modspec import regularity
@@ -57,89 +55,6 @@ def centered_block(g, a, b):
 
 def alpha_normalizer(g, a, b):
     return g.volume(a) if list(a) == list(b) else np.sqrt(g.volume(a) * g.volume(b))
-
-
-def test_mixing_discrepancy_hand_value():
-    g = two_cliques_bridge(3).normalize_volume()
-    x = [0, 1, 2]
-    y = [3, 4, 5]
-    cut = g.weighted_cut(x, y)
-    assert mixing_discrepancy(g, x, y) == pytest.approx(abs(cut - 0.25), abs=1e-12)
-
-
-def test_verify_mixing_bounded_by_spectral_norm():
-    rng = np.random.default_rng(30)
-    for _ in range(6):
-        g = random_connected(rng, 7).normalize_volume()
-        dec = spectral_decomposition(g)
-        val, (wx, wy) = verify_mixing(g)
-        assert val <= dec.spectral_norm + 1e-10
-        # witness reproduces the reported ratio
-        vx, vy = g.volume(wx), g.volume(wy)
-        again = mixing_discrepancy(g, wx, wy) / np.sqrt(vx * vy)
-        assert again == pytest.approx(val, abs=1e-12)
-
-
-def test_verify_mixing_limits_and_sampling():
-    rng = np.random.default_rng(31)
-    g = random_connected(rng, 13).normalize_volume()
-    with pytest.raises(TooLarge):
-        verify_mixing(g)
-    small = random_connected(rng, 8).normalize_volume()
-    exact, _ = verify_mixing(small)
-    sampled, (sx, sy) = verify_mixing(small, samples=500, seed=4)
-    assert sampled <= exact + 1e-12
-    assert sx.size and sy.size
-    sampled2, _ = verify_mixing(small, samples=500, seed=4)
-    assert sampled == sampled2
-    with pytest.raises(ValueError):
-        verify_mixing(small, samples=100)
-    with pytest.raises(ValueError):
-        verify_mixing(small, samples=0, seed=1)
-
-
-def _mixing_table_oracle(g):
-    # every nonempty subset pair scored in one table, first maximum in mask
-    # order; the same float operations as the chunked scan
-    n = g.n
-    bits = ((np.arange(1, 1 << n)[:, None] >> np.arange(n)) & 1).astype(float)
-    vols = bits @ g.degrees
-    prod = np.outer(vols, vols)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = np.abs((bits @ g.weights) @ bits.T - prod) / np.sqrt(prod)
-    ratio[prod <= 0] = 0.0
-    x, y = np.unravel_index(int(np.argmax(ratio)), ratio.shape)
-    return float(ratio[x, y]), np.flatnonzero(bits[x]), np.flatnonzero(bits[y])
-
-
-def test_verify_mixing_exhaustive_scan_is_small_and_exact():
-    rng = np.random.default_rng(34)
-    for n in (2, 5, 9, 10):
-        for g in (random_connected(rng, n), random_connected(rng, n).normalize_volume(),
-                  WeightedGraph(np.round(2 * random_connected(rng, n).weights) / 2)):
-            val, (wx, wy) = verify_mixing(g)
-            ref, rx, ry = _mixing_table_oracle(g)
-            assert val.hex() == ref.hex()
-            assert np.array_equal(wx, rx) and np.array_equal(wy, ry)
-    # at the exhaustive limit the scan holds chunk-sized arrays, not a
-    # table over all 2^12 x 2^12 subset pairs (that peaked at 161 MiB)
-    g = random_connected(rng, 12)
-    tracemalloc.start()
-    try:
-        verify_mixing(g)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 40 * 2**20, f"peak {peak / 2**20:.1f} MiB"
-
-
-@pytest.mark.parametrize("samples, seed", [(None, None), (10, 3)],
-                         ids=["exhaustive", "sampled"])
-def test_verify_mixing_rejects_an_empty_graph(samples, seed):
-    # n = 0 has no nonempty subset: the sampled redraw of empty subsets
-    # never ended, and the exhaustive table indexed a row it did not have
-    with pytest.raises(ZeroVolume):
-        verify_mixing(WeightedGraph(np.zeros((0, 0))), samples=samples, seed=seed)
 
 
 def test_cut_norm_exact_matches_brute_force():

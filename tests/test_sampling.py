@@ -250,6 +250,21 @@ def test_k_variance_convergence_table():
         k_variance_convergence(g, (12, 24), 3, 1, seed=6)
 
 
+def test_k_variance_convergence_records_unmeasurable_draws_as_nan():
+    # a path's sampled components often hold fewer than k vertices: those
+    # draws record NaN, and the median skips them
+    tab = k_variance_convergence(path_graph(12), (3, 6), 4, 3, seed=1)
+    cols = ("k_variance", "error")
+    small = [r for r in tab.rows if r["m"] == 3]
+    assert len(small) == 4 and all(math.isnan(r[c]) for r in small for c in cols)
+    med3, med6 = tab.medians
+    assert all(math.isnan(med3[c]) for c in cols) and med3["flagged"] == 4
+    measured = [r for r in tab.rows if r["m"] == 6 and not math.isnan(r["k_variance"])]
+    assert len(measured) == 2
+    for c in cols:
+        assert med6[c] == float(np.median([r[c] for r in measured]))
+
+
 @pytest.mark.parametrize("mode", ["spectrum", "kvariance"])
 def test_converge_references_are_bounded_requests(monkeypatch, mode):
     # with every graph large enough for eigsh, the full graph's reference

@@ -829,6 +829,10 @@ def test_a_partial_decomposition_refuses_reads_past_what_it_solved():
                  lambda: structural_count(dec, dec.unsolved / 2)):
         with pytest.raises(Unsolved):
             read()
+    for read in (lambda: spectral_decomposition(g, values=-1),
+                 lambda: dec.top_mus(-1), lambda: dec.top_lambdas(-1)):
+        with pytest.raises(ValueError):
+            read()
     assert structural_count(dec, dec.unsolved) == structural_count(
         spectral_decomposition(g), dec.unsolved)
 
