@@ -1,4 +1,4 @@
-"""Vertex representatives, weighted k-means, and subspace distances.
+"""Vertex representatives and weighted k-means.
 
 Representative points are rows of the eigenvector matrix scaled by inverse
 square-root degrees.  All objectives weight point j by its degree d_j, and
@@ -10,19 +10,17 @@ restarts one by one.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadK, TooLarge, ZeroDegree, ZeroVolume
+from .errors import BadK, ZeroDegree, ZeroVolume
 from .graph import WeightedGraph
 from .spectral import SpectralDecomposition
 
-EXHAUSTIVE_LIMIT = 12
 MAX_ITER = 300  # Lloyd iterations per k-means restart
 # labelings x points x max(clusters, coordinates) held in one batch of k-means
-# restarts or of exhaustive-search partitions
+# restarts
 _BATCH_CELLS = 1 << 18
 
 
@@ -278,49 +276,6 @@ def weighted_kmeans(reps: Representatives, k: int, *, restarts: int = 20,
     return part, best_val
 
 
-def _label_arrays(n: int, kmax: int):
-    # restricted growth strings with at most kmax blocks, canonical block order
-    labels = np.zeros(n, dtype=np.intp)
-    maxes = np.zeros(n, dtype=np.intp)  # maxes[i] = max(labels[:i+1])
-    while True:
-        yield labels
-        i = n - 1
-        while i > 0:
-            cap = min(maxes[i - 1] + 1, kmax - 1)
-            if labels[i] < cap:
-                break
-            i -= 1
-        if i == 0:
-            return
-        labels[i] += 1
-        maxes[i] = max(maxes[i - 1], labels[i])
-        for j in range(i + 1, n):
-            labels[j] = 0
-            maxes[j] = maxes[i]
-
-
-def exhaustive_min_k_variance(points, weights, k: int) -> tuple[Partition, float]:
-    """Global minimum of the weighted objective over all partitions into at
-    most k blocks, by direct enumeration; the first optimum found wins ties.
-    Partitions are scored in batches by the kernel that scores k-means."""
-    pts = np.asarray(points, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    n = pts.shape[0]
-    if n > EXHAUSTIVE_LIMIT:
-        raise TooLarge(f"n={n} exceeds enumeration limit {EXHAUSTIVE_LIMIT}")
-    if not 1 <= k <= n:
-        raise BadK(f"k={k} outside [1, {n}]")
-    best_labels, best_val = None, np.inf
-    labelings = _label_arrays(n, k)
-    per_batch = max(1, _BATCH_CELLS // (n * max(k, pts.shape[1])))
-    while batch := [labels.copy() for labels in itertools.islice(labelings, per_batch)]:
-        for labels, val in zip(batch, _cost(pts, w, np.array(batch), k)):
-            if val < best_val - 1e-15:
-                best_val, best_labels = val, labels
-    part = Partition.from_labels(best_labels, k, w)
-    return part, best_val
-
-
 def normalized_partition_vectors(g: WeightedGraph, p: Partition) -> np.ndarray:
     """Indicator columns scaled to 1/sqrt(cluster volume); degree-scaled
     versions of these columns are orthonormal."""
@@ -332,25 +287,3 @@ def normalized_partition_vectors(g: WeightedGraph, p: Partition) -> np.ndarray:
     z = np.zeros((g.n, p.k))
     z[np.arange(g.n), p.labels] = 1.0 / np.sqrt(vols[p.labels])
     return z
-
-
-def subspace_distance_sq(dec: SpectralDecomposition, g: WeightedGraph,
-                         p: Partition, k: int) -> float:
-    """Sum of squared distances of the square-root degree vector and the top
-    k-1 eigenvectors from the span of the degree-scaled partition vectors."""
-    if p.k != k:
-        raise BadK("partition cluster count must equal k")
-    if not 1 <= k <= g.n:
-        raise BadK(f"k={k} outside [1, {g.n}]")
-    z = normalized_partition_vectors(g, p)
-    basis = np.sqrt(g.degrees)[:, None] * z
-    if dec.sqrt_degrees is None:
-        raise ValueError("decomposition lacks the degree vector")
-    if dec.vectors.shape[1] < k - 1:
-        raise ValueError(f"decomposition holds fewer than k-1={k - 1} eigenvectors")
-    total = 0.0
-    cols = [dec.sqrt_degrees] + [dec.vectors[:, i] for i in range(k - 1)]
-    for u in cols:
-        proj = basis.T @ u
-        total += max(1.0 - float(proj @ proj), 0.0)
-    return total

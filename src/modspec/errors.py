@@ -67,9 +67,5 @@ class NoGap(ModspecError):
     """Consecutive eigenvalue magnitudes coincide where a gap is required."""
 
 
-class NoSeparation(ModspecError):
-    """Selected eigenvalue groups are not separated, or a selection is empty."""
-
-
 class WeightsNotProbabilities(ModspecError):
     """Edge weights exceed 1 where Bernoulli sampling needs probabilities."""

@@ -15,21 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoSeparation, TooLarge, ZeroVolume
+from .errors import TooLarge, ZeroVolume
 from .graph import WeightedGraph, vertex_subset
 from .clustering import Partition, k_variance, representatives
-from .spectral import SpectralDecomposition, eigendecompose
+from .spectral import SpectralDecomposition
 from .sampling import derive_trial_seed
 
 ENUM_LIMIT = 24
 FLIP_CAP = 1000
-_CHUNK = 1 << 22  # max float64 cells materialized at once by enumerations
-
-
-def _bit_table(n: int) -> np.ndarray:
-    """All 2^n inclusion vectors as a (2^n, n) float array, mask order."""
-    masks = np.arange(1 << n, dtype=np.uint32)
-    return ((masks[:, None] >> np.arange(n)[None, :]) & 1).astype(float)
 
 
 def _row_subset_sums(a: np.ndarray) -> np.ndarray:
@@ -75,39 +68,6 @@ def cut_norm_exact(a) -> tuple[float, np.ndarray, np.ndarray]:
     side = np.flatnonzero((mask >> np.arange(min(m, n))) & 1)
     value = float(max(pos[mask], neg[mask]))
     return (value, other, side) if m > n else (value, side, other)
-
-
-def cut_norm_exact_bilinear(a) -> float:
-    """Cut norm by maximizing |x^T A y| over 0/1 vectors; value only.
-
-    Independent of :func:`cut_norm_exact`: builds the inclusion-vector tables
-    and goes through two matrix products instead of subset-sum doubling.
-    """
-    mat = _finite_matrix(a)
-    m, n = mat.shape
-    if m + n > ENUM_LIMIT:
-        raise TooLarge(f"m+n={m + n} exceeds enumeration limit {ENUM_LIMIT}")
-    bx = _bit_table(m)
-    by = _bit_table(n)
-    left = bx @ mat
-    best = 0.0
-    rows_per = max(1, _CHUNK >> n)
-    for start in range(0, 1 << m, rows_per):
-        stop = min(start + rows_per, 1 << m)
-        vals = np.abs(left[start:stop] @ by.T)
-        best = max(best, float(vals.max()))
-    return best
-
-
-def cut_norm_bound(a) -> float:
-    """sqrt(m n) times the largest singular value, an upper cut-norm bound."""
-    mat = _finite_matrix(a)
-    m, n = mat.shape
-    if m == 0 or n == 0 or not mat.any():
-        return 0.0
-    gram = mat.T @ mat
-    top = float(np.linalg.eigvalsh((gram + gram.T) / 2.0)[-1])
-    return float(np.sqrt(m * n) * np.sqrt(max(top, 0.0)))
 
 
 def _local_search(c, xbits, ybits) -> tuple[float, np.ndarray, np.ndarray]:
@@ -287,34 +247,3 @@ def regularity_certificate(g: WeightedGraph, dec: SpectralDecomposition,
             ))
     return RegularityReport(k=k, s=s, eps=eps, bound=bound,
                             min_size_ratio=min_size_ratio, pairs=tuple(pairs))
-
-
-def sin_theta_check(a_mat, b_mat, a_interval, b_interval) -> tuple[float, float]:
-    """Both sides of the projection perturbation bound for two symmetric matrices.
-
-    Eigenvalues of the first matrix inside ``a_interval`` and of the second
-    inside ``b_interval`` (closed intervals) designate the two spectral
-    projections; the separation is the smallest distance between the selected
-    eigenvalue sets.  Returns (left side, right side); the left side never
-    exceeds the right beyond roundoff.
-    """
-    a = np.asarray(a_mat, dtype=float)
-    b = np.asarray(b_mat, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError("matrices must share a shape")
-    dec_a, dec_b = eigendecompose(a), eigendecompose(b)
-    va, vb = dec_a.mus, dec_b.mus
-    lo_a, hi_a = float(a_interval[0]), float(a_interval[1])
-    lo_b, hi_b = float(b_interval[0]), float(b_interval[1])
-    sel_a = (va >= lo_a) & (va <= hi_a)
-    sel_b = (vb >= lo_b) & (vb <= hi_b)
-    if not sel_a.any() or not sel_b.any():
-        raise NoSeparation("an eigenvalue selection is empty")
-    delta = float(np.abs(va[sel_a][:, None] - vb[sel_b][None, :]).min())
-    if delta <= 0.0:
-        raise NoSeparation("selected eigenvalue sets are not separated")
-    # |P_a X P_b|_F = |U_a^T X U_b|_F for orthonormal bases U: no projector
-    ua, ub = dec_a.vectors[:, sel_a], dec_b.vectors[:, sel_b]
-    lhs = float(np.linalg.norm(ua.T @ ub, "fro"))
-    rhs = float(np.linalg.norm(ua.T @ (a - b) @ ub, "fro") / delta)
-    return lhs, rhs

@@ -24,10 +24,7 @@ from modspec import (
     BlockModel,
     Partition,
     WeightedGraph,
-    cut_norm_bound,
     cut_norm_exact,
-    cut_norm_exact_bilinear,
-    exhaustive_min_k_variance,
     expected_block_graph,
     generalized_random_graph,
     modularity,
@@ -35,7 +32,6 @@ from modspec import (
     normalized_partition_vectors,
     relaxation_bounds,
     representatives,
-    sin_theta_check,
     spectral_convergence,
     spectral_decomposition,
     structural_count,
@@ -43,12 +39,18 @@ from modspec import (
     volume_regularity_alpha,
     weighted_kmeans,
 )
-from modspec.clustering import _label_arrays
 from modspec.generators import (
     complete_bipartite,
     complete_graph,
     path_graph,
     two_cliques_bridge,
+)
+from oracles import (
+    _label_arrays,
+    cut_norm_bound,
+    cut_norm_exact_bilinear,
+    exhaustive_min_k_variance,
+    sin_theta_check,
 )
 
 

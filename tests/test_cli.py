@@ -1,8 +1,11 @@
+import inspect
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 import modspec
 from modspec import WeightedGraph, cli, openblas, sampling
@@ -217,6 +220,27 @@ def test_generate_errors(tmp_path, capsys):
     code, _, err = run(capsys, "generate", "block", "--sizes", "5,x",
                        "--p", "0.5", "--seed", "0", "-o", out_path)
     assert code == 2
+    for argv, message in (
+        (("block", "--sizes", "2,2", "--p", "0.5,x;0.1,0.5", "--seed", "1"),
+         "bad probability matrix"),
+        (("block", "--sizes", "2,2", "--p", "0.5,0.1;0.1", "--seed", "1"),
+         "probability matrix rows differ in length"),
+        (("classical",), "classical generation needs --name"),
+    ):
+        code, out, err = run(capsys, "generate", *argv, "-o", out_path)
+        assert (code, out) == (2, ""), argv
+        assert message in err
+
+
+@pytest.mark.parametrize("mode", ["kvariance", "blowup"])
+def test_converge_refuses_a_disconnected_graph(tmp_path, capsys, mode):
+    graph = tmp_path / "cycles.tsv"
+    graph.write_text("".join(f"{c}{i}\t{c}{(i + 1) % 4}\t1\n" for c in "ab" for i in range(4)))
+    seed = ("--seed", "1") if mode == "kvariance" else ()
+    code, out, err = run(capsys, "converge", str(graph), "--mode", mode, "--schedule", "1,2",
+                         "--k", "2", *seed, "-o", str(tmp_path / "out.csv"))
+    assert (code, out) == (2, "")
+    assert "Disconnected: convergence experiments need a connected graph" in err
 
 
 def test_converge_spectrum_csv(block_tsv, tmp_path, capsys):
@@ -449,28 +473,68 @@ def test_a_duality_residual_over_the_tolerance_exits_3(bridge_tsv, capsys, monke
     assert "InternalNumericalError: duality residual" in err
 
 
-def test_no_command_reads_the_dense_weights(block_tsv, tmp_path, capsys, monkeypatch):
+def test_a_non_finite_report_value_exits_3(bridge_tsv, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "spectral_gap", lambda dec: float("nan"))
+    code, out, err = run(capsys, "cluster", bridge_tsv, "--k", "2", "--seed", "0")
+    assert (code, out) == (3, "")
+    assert "InternalNumericalError: non-finite value in JSON report" in err
+
+
+def test_a_lapack_failure_exits_3(bridge_tsv, capsys, monkeypatch):
+    dsterf = lapack.dsterf
+    monkeypatch.setattr(lapack, "dsterf", lambda d, e: (dsterf(d, e)[0], 1))
+    code, out, err = run(capsys, "spectrum", bridge_tsv)
+    assert (code, out) == (3, "")
+    assert "EigenFailure: LAPACK dsterf failed with info=1" in err
+
+
+def test_no_command_reads_the_dense_weights(bridge_tsv, block_tsv, tmp_path, capsys,
+                                           monkeypatch):
     def dense(self):
         raise AssertionError("WeightedGraph.weights read")
 
     monkeypatch.setattr(WeightedGraph, "weights", property(dense))
+    # every exported function must be run by some command below, so code
+    # that only tests call lives next to the tests (tests/oracles.py)
+    exported = {fn.__code__: name for name in modspec.__all__
+                if inspect.isfunction(fn := getattr(modspec, name))}
+    called = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
     out = str(tmp_path / "out")
-    for argv in (
-        ("spectrum", block_tsv, "--eps", "0.3"),
-        ("cluster", block_tsv, "--k", "2", "--seed", "1"),
-        ("regularity", block_tsv, "--k", "2", "--seed", "1"),
-        ("converge", block_tsv, "--mode", "spectrum", "--schedule", "8,16",
-         "--trials", "2", "--j", "2", "--seed", "5", "-o", out),
-        ("converge", block_tsv, "--mode", "kvariance", "--schedule", "8,16",
-         "--trials", "2", "--k", "2", "--seed", "1", "-o", out),
-        ("converge", block_tsv, "--mode", "blowup", "--schedule", "1,2", "--k", "2",
-         "-o", out),
-        ("generate", "block", "--sizes", "6,6", "--p", "0.6,0.1;0.1,0.6", "--seed", "2",
-         "-o", out),
-        ("generate", "classical", "--name", "two_cliques_bridge", "--m", "4", "-o", out),
-    ):
-        code, _, err = run(capsys, *argv)
-        assert code == 0, (argv, err)
+    previous = sys.getprofile()
+    sys.setprofile(record)
+    try:
+        for argv in (
+            ("spectrum", block_tsv, "--eps", "0.3"),
+            ("cluster", block_tsv, "--k", "2", "--seed", "1"),
+            ("regularity", block_tsv, "--k", "2", "--seed", "1"),
+            ("converge", block_tsv, "--mode", "spectrum", "--schedule", "8,16",
+             "--trials", "2", "--j", "2", "--seed", "5", "-o", out),
+            ("converge", block_tsv, "--mode", "kvariance", "--schedule", "8,16",
+             "--trials", "2", "--k", "2", "--seed", "1", "-o", out),
+            ("converge", block_tsv, "--mode", "blowup", "--schedule", "1,2", "--k", "2",
+             "-o", out),
+            ("generate", "block", "--sizes", "6,6", "--p", "0.6,0.1;0.1,0.6", "--seed", "2",
+             "-o", out),
+            ("generate", "classical", "--name", "two_cliques_bridge", "--m", "4", "-o", out),
+            # the 15+15 block graph only samples; the bridge's pairs are exact
+            ("regularity", bridge_tsv, "--k", "2", "--seed", "1"),
+            ("generate", "classical", "--name", "complete", "--n", "4", "-o", out),
+            ("generate", "classical", "--name", "complete_bipartite", "--a", "2", "--b", "3",
+             "-o", out),
+            ("generate", "classical", "--name", "path", "--n", "5", "-o", out),
+        ):
+            code, _, err = run(capsys, *argv)
+            assert code == 0, (argv, err)
+    finally:
+        sys.setprofile(previous)
+    # the benchmark reports these two by name, so they stay exported
+    unused = {name for code, name in exported.items() if code not in called}
+    assert unused == {"eigendecompose", "normalized_modularity"}
     # a removed name cannot linger in the export list
     assert len(set(modspec.__all__)) == len(modspec.__all__)
     assert [name for name in modspec.__all__ if not hasattr(modspec, name)] == []

@@ -14,15 +14,13 @@ from modspec import (
     TooLarge,
     WeightedGraph,
     ZeroVolume,
-    exhaustive_min_k_variance,
     k_variance,
     normalized_partition_vectors,
     representatives,
     spectral_decomposition,
-    subspace_distance_sq,
     weighted_kmeans,
 )
-from modspec.clustering import _label_arrays
+from oracles import _label_arrays, exhaustive_min_k_variance, subspace_distance_sq
 
 
 def random_connected(rng, n):

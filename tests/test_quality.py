@@ -8,7 +8,6 @@ from modspec import (
     Partition,
     WeightedGraph,
     ZeroVolume,
-    exhaustive_min_k_variance,
     modularity,
     normalized_cut_value,
     normalized_partition_vectors,
@@ -18,6 +17,7 @@ from modspec import (
     spectral_decomposition,
 )
 from modspec.generators import complete_graph, two_cliques_bridge
+from oracles import _label_arrays, exhaustive_min_k_variance
 
 
 def random_connected(rng, n):
@@ -132,7 +132,6 @@ def test_relaxation_bounds_ordering():
 def test_modularity_never_beats_relaxation():
     # exhaustive over all partitions with exactly k nonempty clusters
     rng = np.random.default_rng(23)
-    from modspec.clustering import _label_arrays
     for _ in range(5):
         g = random_connected(rng, 7)
         dec = spectral_decomposition(g)

@@ -8,43 +8,26 @@ from hypothesis import strategies as st
 
 from modspec import (
     BlockModel,
-    NoSeparation,
     Partition,
     TooLarge,
     WeightedGraph,
     ZeroVolume,
-    cut_norm_bound,
     cut_norm_exact,
-    cut_norm_exact_bilinear,
     expected_block_graph,
     generalized_random_graph,
     regularity_certificate,
-    sin_theta_check,
     spectral_decomposition,
     volume_regularity_alpha,
 )
 from modspec import regularity
 from modspec.generators import two_cliques_bridge
+from oracles import NoSeparation, cut_norm_bound, cut_norm_exact_bilinear, sin_theta_check
 
 
 def random_connected(rng, n):
     w = rng.random((n, n))
     w = np.triu(w, k=1)
     return WeightedGraph(w + w.T)
-
-
-def brute_cut_norm(mat):
-    m, n = mat.shape
-    best = 0.0
-    for rmask in range(1 << m):
-        rows = [i for i in range(m) if (rmask >> i) & 1]
-        if not rows:
-            continue
-        partial = mat[rows].sum(axis=0)
-        for cmask in range(1 << n):
-            s = sum(partial[j] for j in range(n) if (cmask >> j) & 1)
-            best = max(best, abs(s))
-    return best
 
 
 def centered_block(g, a, b):
@@ -57,12 +40,12 @@ def alpha_normalizer(g, a, b):
     return g.volume(a) if list(a) == list(b) else np.sqrt(g.volume(a) * g.volume(b))
 
 
-def test_cut_norm_exact_matches_brute_force():
+def test_cut_norm_exact_matches_the_bilinear_enumeration():
     rng = np.random.default_rng(32)
     for _ in range(12):
         mat = rng.normal(size=(4, 4))
         val, rsel, csel = cut_norm_exact(mat)
-        assert val == pytest.approx(brute_cut_norm(mat), abs=1e-12)
+        assert val == pytest.approx(cut_norm_exact_bilinear(mat), abs=1e-12)
         assert abs(mat[np.ix_(rsel, csel)].sum()) == pytest.approx(val, abs=1e-12)
     with pytest.raises(TooLarge):
         cut_norm_exact(np.zeros((13, 12)))

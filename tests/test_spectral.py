@@ -28,13 +28,13 @@ from modspec import (
     spectral_decomposition,
     spectral_gap,
     structural_count,
-    subspace_distance_sq,
     weighted_kmeans,
 )
 from modspec import spectral
 from modspec.cli import main
 from modspec.generators import complete_bipartite, complete_graph, two_cliques_bridge
 from modspec.spectral import ZERO_TOL
+from oracles import subspace_distance_sq
 
 
 def random_connected(rng, n):
