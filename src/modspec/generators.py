@@ -2,11 +2,11 @@
 
 Block models (the complete, bipartite and two-clique families included) and
 samples are made by one linker, :func:`_link`: a block of rows at a time, it
-keeps the pairs i < j of those rows and emits them with their mirror images
-as one COO array, so no n x n array is made.  A random pair links when its
-uniform, the next from one seeded PCG64 ``random((n, n))`` stream, falls
-below its weight, so a (model, seed) pair yields the same graph on every
-platform and for any block size.  A blow-up gathers the graph's CSR array
+keeps the pairs i < j of those rows and hands them, in row order, to the
+parser's edge assembly ``graph._symmetric``, so no n x n array is made.  A
+random pair links when its uniform, the next from one seeded PCG64
+``random((n, n))`` stream, falls below its weight, so a (model, seed) pair
+yields the same graph on every platform and for any block size.  A blow-up gathers the graph's CSR array
 over repeated vertices.  Every graph is made by the one ``WeightedGraph``
 constructor.
 """
@@ -19,7 +19,7 @@ import numpy as np
 from scipy.sparse import coo_array, diags_array
 
 from .errors import BadSize
-from .graph import WeightedGraph, _index_dtype
+from .graph import WeightedGraph, _index_dtype, _symmetric
 
 
 @dataclass(frozen=True)
@@ -68,8 +68,8 @@ def _link(n: int, pair_weights, rng: np.random.Generator | None = None) -> coo_a
 
     ``pair_weights(lo, hi)`` gives the dense weights of rows lo..hi-1 against
     all n columns.  With ``rng`` a pair gets weight 1 when its uniform falls
-    below its weight, else it keeps the weight.  The mirror images come
-    first, so the columns of each row are sorted.
+    below its weight, else it keeps the weight.  The pairs come in row
+    order, so the columns of each row are sorted.
     """
     step = max(1, _BLOCK_CELLS // max(n, 1))
     itype = _index_dtype(n)
@@ -82,8 +82,7 @@ def _link(n: int, pair_weights, rng: np.random.Generator | None = None) -> coo_a
         rows.append((i + lo).astype(itype))
         cols.append(j.astype(itype))
         vals.append(w[i, j])
-    coords = (np.concatenate(cols + rows), np.concatenate(rows + cols))
-    return coo_array((np.concatenate(vals + vals), coords), shape=(n, n))
+    return _symmetric(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), n)
 
 
 def _block_weights(model: BlockModel):

@@ -6,14 +6,15 @@ Vertex subsets are passed around as validated integer index arrays; use
 stores its weights once, as a read-only CSR array of the nonzero entries, so
 it costs O(n + nnz) memory and every reader in the package works on that
 array; ``weights`` hands out a dense copy for small graphs only.  The parser
-and the generators hand the constructor COO arrays of their edges.  The
-parser reads a plain edge list (ASCII, only tabs and newlines between the
-fields, labels of at most 8 bytes) over its bytes with numpy; any other
-text is read in one pass that checks each line as it reads it.  Both give
-the same graph or the same error.  Every graph stores 32-bit ``indices``
-and ``indptr`` unless n or the number of stored weights needs 64 bits
-(:func:`_index_dtype`), however its array was made.  The largest weight
-and the connected components are cached on first use.
+and the generators hand the constructor their edges through
+:func:`_symmetric`, mirror images first.  The parser reads a plain edge
+list (ASCII, only tabs and newlines between the fields, labels of at most 8
+bytes) over its bytes with numpy and leaves the weight checks to the
+constructor; any other text is read in one pass that checks each line as
+it reads it.  Both give the same graph or the same error.  Every graph
+stores 32-bit ``indices`` and ``indptr`` unless n or the number of stored
+weights needs 64 bits (:func:`_index_dtype`), however its array was made.
+The largest weight and the connected components are cached on first use.
 """
 from __future__ import annotations
 
@@ -215,29 +216,16 @@ class WeightedGraph:
         ids = tuple(self.vertex_ids[i] for i in idx)
         return WeightedGraph(self._gather(idx), ids)
 
-    def _gather(self, slots: np.ndarray) -> csr_array:
-        """CSR array of ``W[s_i, s_j]`` over the slots, rows gathered first."""
-        return self.csr[slots][:, slots]
+    def _gather(self, rows: np.ndarray, cols: np.ndarray | None = None) -> csr_array:
+        """CSR array of ``W[r_i, c_j]``, rows gathered first; cols default to rows."""
+        return self.csr[rows][:, rows if cols is None else cols]
 
 
-def _bad_lines(iu: np.ndarray, iv: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
-    """Flag the parsed lines with a non-finite or negative weight, a self
-    loop, or the edge of an earlier line; only the plain path needs this,
-    as the line parser checks each line as it reads it."""
-    bad = ~np.isfinite(w) | (w < 0) | (iu == iv)
-    # 64-bit: the key reaches n^2, past int32 from n = 46,341
-    key = np.minimum(iu, iv).astype(np.int64) * n + np.maximum(iu, iv)
-    repeated = np.ones(w.size, dtype=bool)
-    repeated[np.unique(key, return_index=True)[1]] = False
-    return bad | repeated
-
-
-def _edge_graph(iu: np.ndarray, iv: np.ndarray, w: np.ndarray,
-                ids: tuple[str, ...]) -> WeightedGraph:
-    """The graph of the edges iu[i] -- iv[i] with weights w[i]."""
-    n = len(ids)
-    both = (np.concatenate([iu, iv]), np.concatenate([iv, iu]))
-    return WeightedGraph(coo_array((np.concatenate([w, w]), both), shape=(n, n)), ids)
+def _symmetric(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int) -> coo_array:
+    """n x n COO array of the entries (rows[i], cols[i]) after their mirror
+    images, so row-sorted pairs i < j give sorted rows and need no sort."""
+    coords = (np.concatenate([cols, rows]), np.concatenate([rows, cols]))
+    return coo_array((np.concatenate([vals, vals]), coords), shape=(n, n))
 
 
 def _load_lines(text: str) -> WeightedGraph:
@@ -282,7 +270,7 @@ def _load_lines(text: str) -> WeightedGraph:
     pairs = rank[np.fromiter(chain.from_iterable(edges), dtype=np.intp, count=2 * len(edges))]
     w = np.fromiter(edges.values(), dtype=float, count=len(edges))
     del edges
-    return _edge_graph(pairs[0::2], pairs[1::2], w, ids)
+    return WeightedGraph(_symmetric(pairs[0::2], pairs[1::2], w, len(ids)), ids)
 
 
 def _load_plain(text: str) -> WeightedGraph | None:
@@ -297,6 +285,10 @@ def _load_plain(text: str) -> WeightedGraph | None:
     64-bit key, whose order is the strings' order, and the weights are
     numpy's casts of their bytes, which equal ``float``'s.  A plain text
     with a bad line also gives None, so :func:`_load_lines` reports it.
+    Only the bad lines the constructor cannot see are looked for here: a
+    self loop (one of weight 0 is dropped before its diagonal test) and a
+    repeated vertex pair (which it sums).  A non-finite or negative weight,
+    or a volume outside the float range, makes the constructor raise.
     """
     if not text or not text.isascii():
         return None
@@ -335,9 +327,16 @@ def _load_plain(text: str) -> WeightedGraph | None:
         except ValueError:
             return None
     iu, iv = inverse[:m], inverse[m:]
-    if _bad_lines(iu, iv, w, n).any():
+    # 64-bit: the key reaches n^2, past int32 from n = 46,341
+    key = np.minimum(iu, iv).astype(np.int64) * n + np.maximum(iu, iv)
+    key.sort()
+    if (iu == iv).any() or (key[1:] == key[:-1]).any():
         return None
-    return _edge_graph(iu, iv, w, ids)
+    del key
+    try:
+        return WeightedGraph(_symmetric(iu, iv, w, n), ids)
+    except (NegativeWeight, ValueError):
+        return None
 
 
 def load_edge_list(text: str) -> WeightedGraph:

@@ -139,9 +139,9 @@ def volume_regularity_alpha(g: WeightedGraph, cluster_a, cluster_b, *,
     vol_b = g.volume(bi)
     if vol_a <= 0 or vol_b <= 0:
         raise ZeroVolume("clusters must have positive volume")
-    rho = g.relative_density(ai, bi)
+    rho = g.weighted_cut(ai, bi) / (vol_a * vol_b)
     denom = vol_a if same else float(np.sqrt(vol_a * vol_b))
-    c = g.csr[ai][:, bi].toarray() - rho * np.outer(g.degrees[ai], g.degrees[bi])
+    c = g._gather(ai, bi).toarray() - rho * np.outer(g.degrees[ai], g.degrees[bi])
     if samples is None:
         best, rsel, csel = cut_norm_exact(c)
         return best / denom, (ai[rsel], bi[csel])

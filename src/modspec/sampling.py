@@ -73,7 +73,7 @@ def sample_subgraph(g: WeightedGraph, m: int, seed: int) -> tuple[WeightedGraph,
         raise ZeroVolume("cannot sample from a zero-volume graph")
     rng = np.random.Generator(np.random.PCG64(seed))
     slots = rng.choice(g.n, size=m, replace=True, p=g.degrees / g.total_volume).astype(np.intp)
-    linked = _link(m, lambda lo, hi: g.csr[slots[lo:hi]][:, slots].toarray(), rng)
+    linked = _link(m, lambda lo, hi: g._gather(slots[lo:hi], slots).toarray(), rng)
     return WeightedGraph(linked), slots
 
 

@@ -1,6 +1,7 @@
 import re
 import tracemalloc
 from dataclasses import FrozenInstanceError
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -507,6 +508,8 @@ def test_plain_path_agrees_with_the_line_parser(text):
     "a\tb\t1\n", "a\tb\t1", "abcdefgh\tb\t1\n", "10\t9\t2\n9\tab\t0.5\n", "x#1\ta\t1\n",
     "a\tb\t4.9e-324\nb\tc\t2.4703282292062327e-324\nc\td\t1\n",
     *(f"a\tb\t{w}\n" for w in ("1_0", "1e-300", ".5", "1.", "0001", "9007199254740993")),
+    # a line of weight 0 is no bad line
+    "a\tb\t0\nb\tc\t1\n",
 ])
 def test_plain_texts_take_the_plain_path(text):
     plain = graph._load_plain(text)
@@ -520,9 +523,36 @@ def test_plain_texts_take_the_plain_path(text):
     "a\tb\t1\x0cc\td\t1\n", "a\tb\t1\x1cc\td\t1\n", "a\tb\t1\x00\n",
     # plain, with a bad line
     "a\tb\tx\n", "a\tb\t1__0\n", "a\tb\tinf\n", "a\tb\t-1\n", "a\ta\t1\n", "a\tb\t1\nb\ta\t2\n",
+    # loops and repeated pairs that the constructor would not see, then
+    # weights and a volume that it rejects
+    "a\ta\t0\n", "a\tb\t0\na\tb\t1\n", "a\tb\t1\nb\ta\t-1\n", "a\tb\tnan\n",
+    "a\tb\t1e308\nb\tc\t1e308\n",
 ])
 def test_other_texts_go_to_the_line_parser(text):
     assert graph._load_plain(text) is None
+
+
+def test_symmetric_gives_row_sorted_pairs_sorted_rows(monkeypatch):
+    def unsorted(self):
+        raise AssertionError("the CSR conversion sorted a row")
+
+    monkeypatch.setattr(csr_array, "sort_indices", unsorted)
+    rng = np.random.default_rng(6)
+    iu, iv = np.nonzero(np.triu(rng.random((30, 30)) < 0.3, k=1))
+    w = rng.random(iu.size)
+    csr = graph._symmetric(iu, iv, w, 30).tocsr()
+    assert csr.has_sorted_indices
+    assert np.array_equal(csr.toarray(), csr.toarray().T)
+    # the mirror images last, the rows would need a sort
+    with pytest.raises(AssertionError, match="sorted a row"):
+        graph._symmetric(iv, iu, w, 30).tocsr()
+
+
+def test_only_the_graph_module_indexes_the_csr_array():
+    # a block of W is gathered by WeightedGraph._gather, in one place
+    for path in Path(graph.__file__).parent.glob("*.py"):
+        if path.name != "graph.py":
+            assert ".csr[" not in path.read_text(encoding="utf-8"), path.name
 
 
 def test_dumps_of_generated_graphs_take_the_plain_path(monkeypatch):
