@@ -132,18 +132,10 @@ def _cluster_blocks(g: WeightedGraph, dec, k: int, seed: int, restarts: int):
         raise InternalNumericalError(
             f"duality residual {report.duality_residual:.3e} exceeds {DUALITY_TOL}")
     labels = {g.vertex_ids[i]: int(part.labels[i]) for i in range(g.n)}
-    block = {
-        "k": k,
-        "seed": seed,
-        "restarts": restarts,
-        "labels": labels,
-        "k_variance": float(value),
-        "modularity": report.modularity_value,
-        "normalized_cut": report.cut_value,
-        "relaxation_upper": report.relaxation_upper,
-        "relaxation_lower_cut": report.relaxation_lower_cut,
-        "duality_residual": report.duality_residual,
-    }
+    # the quality report's fields in declaration order; its k keeps the first slot
+    block = {"k": k, "seed": seed, "restarts": restarts, "labels": labels,
+             "k_variance": float(value), **vars(report),
+             "duality_residual": report.duality_residual}
     return part, block
 
 
@@ -171,7 +163,7 @@ def cmd_analyze(args) -> int:
     if args.command != "spectrum":
         part, report["clustering"] = _cluster_blocks(g, dec, args.k, args.seed, args.restarts)
     if args.command == "regularity":
-        cert = regularity_certificate(g, dec, part, args.k, exact_limit=args.exact_max,
+        cert = regularity_certificate(g, dec, part, exact_limit=args.exact_max,
                                       samples=args.samples, seed=args.seed)
         report["regularity"] = _regularity_block(g, cert)
     print(render_json(report))

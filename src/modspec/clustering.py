@@ -26,34 +26,24 @@ _BATCH_CELLS = 1 << 18
 
 @dataclass(frozen=True)
 class Partition:
-    """Cluster labels in {0..k-1} plus per-cluster weight volumes."""
+    """Cluster labels in {0..k-1}, one per vertex, as a 1-d integer array;
+    as in ``vertex_subset``, floats are refused, never truncated."""
 
     labels: np.ndarray
     k: int
-    cluster_volumes: np.ndarray
 
     def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=np.intp).copy()
+        labels = np.asarray(self.labels)
+        if labels.ndim != 1 or (labels.size and not np.issubdtype(labels.dtype, np.integer)):
+            raise ValueError(f"labels must be a 1-d integer array, got {labels.dtype} "
+                             f"{labels.shape}")
+        labels = labels.astype(np.intp)
         if self.k < 1:
             raise BadK("partition needs k >= 1")
         if labels.size and (labels.min() < 0 or labels.max() >= self.k):
             raise ValueError("labels out of range")
-        vols = np.asarray(self.cluster_volumes, dtype=float).copy()
-        if vols.shape != (self.k,):
-            raise ValueError("cluster_volumes must have length k")
         labels.setflags(write=False)
-        vols.setflags(write=False)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "cluster_volumes", vols)
-
-    @classmethod
-    def from_labels(cls, labels, k: int, weights) -> "Partition":
-        lab = np.asarray(labels, dtype=np.intp)
-        w = np.asarray(weights, dtype=float)
-        if w.shape != lab.shape:
-            raise ValueError("weights must align with labels")
-        vols = np.bincount(lab, weights=w, minlength=k) if lab.size else np.zeros(k)
-        return cls(lab, k, vols)
 
     @property
     def n(self) -> int:
@@ -72,7 +62,6 @@ class Representatives:
 
     points: np.ndarray
     weights: np.ndarray
-    k: int
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float).copy()
@@ -110,7 +99,7 @@ def representatives(dec: SpectralDecomposition, g: WeightedGraph, k: int) -> Rep
     if (g.degrees <= 0).any():
         raise ZeroDegree("representatives need positive degrees")
     pts = dec.vectors[:, : k - 1] / np.sqrt(g.degrees)[:, None]
-    return Representatives(pts, g.degrees, k)
+    return Representatives(pts, g.degrees)
 
 
 def _sq_dist(a, b) -> np.ndarray:
@@ -272,7 +261,7 @@ def weighted_kmeans(reps: Representatives, k: int, *, restarts: int = 20,
                 best_val, best_labels = val, lab
     # relabeling moves no point to another center, so best_val is the
     # k-variance of the returned partition
-    part = Partition.from_labels(_canonical_relabel(best_labels, k), k, w)
+    part = Partition(_canonical_relabel(best_labels, k), k)
     return part, best_val
 
 

@@ -13,6 +13,7 @@ constructor.
 from __future__ import annotations
 
 import inspect
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,15 @@ from scipy.sparse import coo_array, diags_array
 
 from .errors import BadSize
 from .graph import WeightedGraph, _index_dtype, _symmetric
+
+
+def _sizes(values) -> tuple[int, ...]:
+    """Sizes as ints; a float or any other non-integer is refused, never truncated."""
+    values = tuple(values)
+    try:
+        return tuple(operator.index(v) for v in values)
+    except TypeError:
+        raise BadSize(f"sizes must be integers, got {values!r}") from None
 
 
 @dataclass(frozen=True)
@@ -30,7 +40,7 @@ class BlockModel:
     probs: np.ndarray
 
     def __post_init__(self):
-        sizes = tuple(int(s) for s in self.sizes)
+        sizes = _sizes(self.sizes)
         if not sizes or any(s <= 0 for s in sizes):
             raise BadSize("block sizes must be positive")
         p = np.array(self.probs, dtype=float)
@@ -160,7 +170,7 @@ def classical(name: str, *args: int) -> WeightedGraph:
     if len(args) != len(names):
         raise BadSize(f"classical {name!r} takes sizes ({', '.join(names)}), "
                       f"got {len(args)}")
-    return _CLASSICAL[name](*(int(a) for a in args))
+    return _CLASSICAL[name](*_sizes(args))
 
 
 def blow_up(g: WeightedGraph, t: int) -> WeightedGraph:

@@ -61,22 +61,22 @@ class QualityReport:
     """Both functionals plus the spectral bounds for one partition."""
 
     k: int
-    cut_value: float
-    modularity_value: float
+    modularity: float
+    normalized_cut: float
     relaxation_upper: float
     relaxation_lower_cut: float
 
     @property
     def duality_residual(self) -> float:
-        return abs(self.modularity_value + self.cut_value - (self.k - 1))
+        return abs(self.modularity + self.normalized_cut - (self.k - 1))
 
 
 def quality_report(g: WeightedGraph, dec: SpectralDecomposition, p: Partition) -> QualityReport:
     upper, lower = relaxation_bounds(dec, p.k)
     return QualityReport(
         k=p.k,
-        cut_value=normalized_cut_value(g, p),
-        modularity_value=modularity(g, p),
+        modularity=modularity(g, p),
+        normalized_cut=normalized_cut_value(g, p),
         relaxation_upper=upper,
         relaxation_lower_cut=lower,
     )

@@ -192,14 +192,15 @@ class RegularityReport:
 
 
 def regularity_certificate(g: WeightedGraph, dec: SpectralDecomposition,
-                           p: Partition, k: int, *, exact_limit: int = ENUM_LIMIT,
+                           p: Partition, *, exact_limit: int = ENUM_LIMIT,
                            samples: int = 2000, seed: int = 0) -> RegularityReport:
     """Measure alpha for every cluster pair and report the bound's ingredients.
 
-    The bound sqrt(2 k) * s + eps uses s from the clustering objective of the
-    supplied partition on the eigenvector embedding and eps equal to the k-th
-    largest eigenvalue magnitude.  Constants from the underlying theory are
-    reported as measured ratios, never asserted.  Pairs with |A| + |B| at
+    k is the partition's cluster count.  The bound sqrt(2 k) * s + eps uses s
+    from the clustering objective of the partition on the eigenvector
+    embedding and eps equal to the k-th largest eigenvalue magnitude.
+    Constants from the underlying theory are reported as measured ratios,
+    never asserted.  Pairs with |A| + |B| at
     most ``exact_limit`` (0 to 24) are enumerated exactly; the others get
     ``samples`` sampled starts, or are skipped when ``samples`` is 0.
     """
@@ -207,13 +208,12 @@ def regularity_certificate(g: WeightedGraph, dec: SpectralDecomposition,
         raise ValueError(f"exact_limit={exact_limit} outside [0, {ENUM_LIMIT}]")
     if samples < 0:
         raise ValueError(f"samples={samples} must be >= 0")
-    if p.k != k:
-        raise ValueError("partition cluster count must equal k")
     if p.n != g.n:
         raise ValueError("partition does not match the graph")
     sizes = p.sizes()
     if (sizes == 0).any():
         raise ZeroVolume("every cluster must be nonempty")
+    k = p.k
     reps = representatives(dec, g, k)
     s = float(np.sqrt(max(k_variance(reps.points, reps.weights, p), 0.0)))
     eps = float(abs(dec.top_mus(k)[k - 1]))

@@ -32,7 +32,6 @@ from .generators import _link, blow_up
 from .spectral import spectral_decomposition
 
 COVERAGE_FLAG = 0.9
-DOMINANT_FLAG = 10.0
 
 
 @dataclass(frozen=True)
@@ -107,13 +106,6 @@ def _medians(rows, sched, values) -> tuple[dict, ...]:
     return tuple(medians)
 
 
-def _reference(g: WeightedGraph, **values) -> dict:
-    """Reference values of the full graph plus its dominant-vertex diagnostic."""
-    ratio = dominant_vertex_ratio(g)
-    return {"n": g.n, **values, "dominant_vertex_ratio": ratio,
-            "dominant_flagged": int(ratio > DOMINANT_FLAG)}
-
-
 def _sampled_sweep(g: WeightedGraph, sched, trials: int, seed: int, mode: str,
                    values: tuple[str, ...], measure, reference: dict) -> ConvergenceTable:
     """Measure the largest component of every (m, trial) draw, in that order.
@@ -154,7 +146,7 @@ def spectral_convergence(g: WeightedGraph, schedule, trials: int, j: int,
         return (*mus, *np.abs(mus - ref_mus))
 
     values = (*[f"mu_{i + 1}" for i in range(j)], *[f"err_{i + 1}" for i in range(j)])
-    reference = _reference(g, mus=[float(v) for v in ref_mus])
+    reference = {"n": g.n, "mus": [float(v) for v in ref_mus]}
     return _sampled_sweep(g, sched, trials, seed, "spectrum", values, measure, reference)
 
 
@@ -201,7 +193,7 @@ def subspace_convergence(g: WeightedGraph, factors, k: int) -> ConvergenceTable:
         else:
             dist = float(np.linalg.norm(basis - base @ (base.T @ basis), 2))
         rows.append({"t": t, "distance": dist})
-    reference = _reference(g, k=k, gap=gap)
+    reference = {"n": g.n, "k": k, "gap": gap}
     return ConvergenceTable("blowup", ("t", "distance"), tuple(rows), (), reference)
 
 
@@ -225,6 +217,6 @@ def k_variance_convergence(g: WeightedGraph, schedule, trials: int, k: int, seed
         _, value = weighted_kmeans(sreps, k, restarts=restarts, seed=child)
         return value, abs(value - ref_value)
 
-    reference = _reference(g, k=k, k_variance=float(ref_value))
+    reference = {"n": g.n, "k": k, "k_variance": float(ref_value)}
     return _sampled_sweep(g, sched, trials, seed, "kvariance", ("k_variance", "error"),
                           measure, reference)

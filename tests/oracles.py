@@ -138,7 +138,7 @@ def exhaustive_min_k_variance(points, weights, k: int) -> tuple[Partition, float
         for labels, val in zip(batch, clustering._cost(pts, w, np.array(batch), k)):
             if val < best_val - 1e-15:
                 best_val, best_labels = val, labels
-    part = Partition.from_labels(best_labels, k, w)
+    part = Partition(best_labels, k)
     return part, best_val
 
 

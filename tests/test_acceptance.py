@@ -119,7 +119,7 @@ def test_criterion_02_duality_identity():
         labels = rng.integers(0, k, size=n)
         if np.unique(labels).size != k:
             continue
-        p = Partition.from_labels(labels, k, g.degrees)
+        p = Partition(labels, k)
         resid = abs(modularity(g, p) + normalized_cut_value(g, p) - (k - 1))
         worst = max(worst, resid)
         cases += 1
@@ -140,7 +140,7 @@ def test_criterion_03_relaxation_bound():
             for labels in _label_arrays(n, k):
                 if np.unique(labels).size != k:
                     continue
-                p = Partition.from_labels(labels, k, g.degrees)
+                p = Partition(labels, k)
                 margin = modularity(g, p) - upper
                 worst_margin = max(worst_margin, margin)
                 if margin > 1e-10:

@@ -77,6 +77,9 @@ def test_cluster_report(bridge_tsv, capsys):
     spec = json.loads(spec_out)
     assert doc["input"] == spec["input"] and doc["spectrum"] == spec["spectrum"]
     block = doc["clustering"]
+    assert list(block) == ["k", "seed", "restarts", "labels", "k_variance", "modularity",
+                           "normalized_cut", "relaxation_upper", "relaxation_lower_cut",
+                           "duality_residual"]
     assert block["k"] == 2 and block["seed"] == 7 and block["restarts"] == 20
     labels = block["labels"]
     assert len(labels) == 10

@@ -37,19 +37,21 @@ def random_partition(rng, n, k):
 
 
 def test_partition_validation_and_accessors():
-    p = Partition.from_labels([0, 1, 1, 0], 2, [1.0, 2.0, 3.0, 4.0])
+    p = Partition([0, 1, 1, 0], 2)
     assert p.n == 4 and p.k == 2
     assert p.members(1).tolist() == [1, 2]
     assert p.sizes().tolist() == [2, 2]
-    assert np.allclose(p.cluster_volumes, [5.0, 5.0])
+    assert Partition([], 1).n == 0
     with pytest.raises(BadK):
-        Partition.from_labels([0], 0, [1.0])
+        Partition([0], 0)
     with pytest.raises(ValueError):
-        Partition.from_labels([0, 2], 2, [1.0, 1.0])
-    with pytest.raises(ValueError):
-        Partition.from_labels([0, 1], 2, [1.0])
-    with pytest.raises(ValueError):
-        Partition(np.array([0]), 2, np.array([1.0]))
+        Partition([0, 2], 2)
+    # labels are a 1-d integer array: floats are not truncated, strings not
+    # parsed, and a 2-d array or booleans are refused
+    for bad in ([0.9, 1.7], np.array([0.5, 1.5]), ["1", "0"], [[0, 1], [1, 0]],
+                [True, False]):
+        with pytest.raises(ValueError, match="1-d integer array"):
+            Partition(bad, 2)
 
 
 def test_representatives_moment_identities():
@@ -79,32 +81,32 @@ def test_representatives_bounds():
     with pytest.raises(BadK):
         representatives(dec, g, 6)
     with pytest.raises(ValueError):
-        Representatives(np.zeros((3, 2)), np.zeros(4), 2)
+        Representatives(np.zeros((3, 2)), np.zeros(4))
     # non-finite points and negative or non-finite weights; zero weights pass
     for pts, w in (([[0.0], [np.nan], [1.0], [2.0]], np.ones(4)),
                    ([[0.0], [np.inf], [1.0], [2.0]], np.ones(4)),
                    ([[0.0], [1.0], [2.0]], [1.0, -0.5, 1.0]),
                    ([[0.0], [1.0], [2.0]], [1.0, np.nan, 1.0])):
         with pytest.raises(ValueError):
-            Representatives(pts, w, 2)
-    assert Representatives([[0.0], [1.0]], [0.0, 1.0], 2).weights.tolist() == [0.0, 1.0]
+            Representatives(pts, w)
+    assert Representatives([[0.0], [1.0]], [0.0, 1.0]).weights.tolist() == [0.0, 1.0]
 
 
 def test_k_variance_hand_example():
     pts = np.array([[0.0], [1.0], [10.0], [12.0]])
     w = np.array([1.0, 1.0, 1.0, 3.0])
-    p = Partition.from_labels([0, 0, 1, 1], 2, w)
+    p = Partition([0, 0, 1, 1], 2)
     # cluster 0: center 0.5, cost 0.25+0.25; cluster 1: center 11.5, cost 2.25+0.75
     assert k_variance(pts, w, p) == pytest.approx(3.5)
     # an empty cluster adds nothing
-    p3 = Partition.from_labels([0, 0, 2, 2], 3, w)
+    p3 = Partition([0, 0, 2, 2], 3)
     assert k_variance(pts, w, p3) == pytest.approx(3.5)
 
 
 def test_k_variance_zero_weight_cluster():
     pts = np.array([[0.0], [4.0], [9.0]])
     w = np.array([1.0, 0.0, 0.0])
-    p = Partition.from_labels([0, 1, 1], 2, w)
+    p = Partition([0, 1, 1], 2)
     assert k_variance(pts, w, p) == 0.0
 
 
@@ -127,7 +129,7 @@ def test_exhaustive_matches_brute_force_value():
     best = np.inf
     for bits in range(2 ** 6):
         labels = [(bits >> i) & 1 for i in range(6)]
-        p = Partition.from_labels(labels, 2, w)
+        p = Partition(labels, 2)
         best = min(best, k_variance(pts, w, p))
     assert val == pytest.approx(best, abs=1e-12)
     with pytest.raises(TooLarge):
@@ -151,7 +153,7 @@ def test_kmeans_recovers_separated_blobs():
     rng = np.random.default_rng(9)
     pts = np.vstack([rng.normal(0.0, 0.05, (10, 2)),
                      rng.normal(5.0, 0.05, (10, 2))])
-    reps = Representatives(pts, np.ones(20), 2)
+    reps = Representatives(pts, np.ones(20))
     part, val = weighted_kmeans(reps, 2, seed=0)
     assert part.labels[:10].tolist() == [0] * 10
     assert part.labels[10:].tolist() == [1] * 10
@@ -161,7 +163,7 @@ def test_kmeans_recovers_separated_blobs():
 def test_kmeans_determinism_and_canonical_labels():
     rng = np.random.default_rng(10)
     pts = rng.random((12, 2))
-    reps = Representatives(pts, np.ones(12), 3)
+    reps = Representatives(pts, np.ones(12))
     p1, v1 = weighted_kmeans(reps, 3, seed=5)
     p2, v2 = weighted_kmeans(reps, 3, seed=5)
     assert np.array_equal(p1.labels, p2.labels) and v1 == v2
@@ -177,7 +179,7 @@ def test_kmeans_determinism_and_canonical_labels():
     # are still scored by the k_variance kernel
     pts9 = rng.random((40, 9))
     w9 = 0.5 + rng.random(40)
-    p9, v9 = weighted_kmeans(Representatives(pts9, w9, 10), 10, seed=5)
+    p9, v9 = weighted_kmeans(Representatives(pts9, w9), 10, seed=5)
     assert v9 == k_variance(pts9, w9, p9)
 
 
@@ -189,31 +191,31 @@ def test_kmeans_translation_invariant():
         rng = np.random.default_rng(seed)
         pts = rng.random((200, 2))
         w = 0.5 + rng.random(200)
-        part, val = weighted_kmeans(Representatives(pts, w, 3), 3, seed=seed)
-        shifted, sval = weighted_kmeans(Representatives(pts + 1e6, w, 3), 3, seed=seed)
+        part, val = weighted_kmeans(Representatives(pts, w), 3, seed=seed)
+        shifted, sval = weighted_kmeans(Representatives(pts + 1e6, w), 3, seed=seed)
         assert np.array_equal(shifted.labels, part.labels)
         assert sval == pytest.approx(val, rel=1e-6)
         assert sval == k_variance(pts + 1e6, w, shifted)
 
 
 def test_kmeans_edge_cases():
-    reps = Representatives(np.zeros((4, 1)), np.ones(4), 2)
+    reps = Representatives(np.zeros((4, 1)), np.ones(4))
     part, val = weighted_kmeans(reps, 1, seed=0)
     assert part.k == 1 and val == 0.0
     with pytest.raises(BadK):
         weighted_kmeans(reps, 5, seed=0)
     with pytest.raises(ZeroVolume):
-        weighted_kmeans(Representatives(np.zeros((3, 1)), np.zeros(3), 2), 2, seed=0)
+        weighted_kmeans(Representatives(np.zeros((3, 1)), np.zeros(3)), 2, seed=0)
     with pytest.raises(ValueError, match="restarts=0 must be >= 1"):
         weighted_kmeans(reps, 2, restarts=0, seed=0)
     # k == n puts every point alone regardless of geometry
     rng = np.random.default_rng(11)
     pts = rng.random((5, 2))
-    reps5 = Representatives(pts, np.ones(5), 5)
+    reps5 = Representatives(pts, np.ones(5))
     _, v5 = weighted_kmeans(reps5, 5, seed=0)
     assert v5 == pytest.approx(0.0, abs=1e-12)
     # points without coordinates, as representatives gives for k = 1
-    part0, v0 = weighted_kmeans(Representatives(np.zeros((4, 0)), np.ones(4), 2), 2, seed=0)
+    part0, v0 = weighted_kmeans(Representatives(np.zeros((4, 0)), np.ones(4)), 2, seed=0)
     assert v0 == 0.0
     assert part0.sizes().tolist() == [1, 3]
 
@@ -341,7 +343,7 @@ def _tiny_case(seed):
 def test_kmeans_matches_its_reference_recipe(case):
     pts, w, k, restarts, seed, max_iter = case
     with mock.patch.object(clustering, "MAX_ITER", max_iter):
-        part, val = weighted_kmeans(Representatives(pts, w, k), k, restarts=restarts, seed=seed)
+        part, val = weighted_kmeans(Representatives(pts, w), k, restarts=restarts, seed=seed)
         labels, ref = _recipe_kmeans(pts, w, k, restarts, seed)
     assert part.labels.tobytes() == labels.tobytes()
     assert val.hex() == ref.hex()
@@ -351,7 +353,7 @@ def test_kmeans_batches_do_not_change_the_bytes(monkeypatch):
     rng = np.random.default_rng(15)
     pts = rng.random((40, 2))
     w = 0.5 + rng.random(40)
-    reps = Representatives(pts, w, 3)
+    reps = Representatives(pts, w)
     default, dval = weighted_kmeans(reps, 3, restarts=20, seed=3)
     # the exhaustive search scores its 365 partitions of 7 points in batches
     # too; one by one, the recipe's scores pick the same optimum
@@ -379,7 +381,7 @@ def test_kmeans_batches_bound_memory(monkeypatch):
     # iterations suffice to run every batch.
     monkeypatch.setattr(clustering, "MAX_ITER", 2)
     rng = np.random.default_rng(16)
-    reps = Representatives(rng.random((30000, 2)), np.ones(30000), 3)
+    reps = Representatives(rng.random((30000, 2)), np.ones(30000))
     tracemalloc.start()
     try:
         weighted_kmeans(reps, 3, restarts=200, seed=0)
@@ -393,13 +395,12 @@ def test_normalized_partition_vectors_orthonormal():
     rng = np.random.default_rng(12)
     g = random_connected(rng, 9)
     labels = random_partition(rng, 9, 3)
-    p = Partition.from_labels(labels, 3, g.degrees)
+    p = Partition(labels, 3)
     z = normalized_partition_vectors(g, p)
     b = np.sqrt(g.degrees)[:, None] * z
     assert np.allclose(b.T @ b, np.eye(3), atol=1e-12)
     with pytest.raises(ZeroVolume):
-        normalized_partition_vectors(g, Partition.from_labels(np.zeros(9, dtype=int), 2,
-                                                              g.degrees))
+        normalized_partition_vectors(g, Partition(np.zeros(9, dtype=int), 2))
 
 
 def test_subspace_distance_equals_k_variance():
@@ -412,7 +413,7 @@ def test_subspace_distance_equals_k_variance():
         for k in (2, 3, 4):
             reps = representatives(dec, g, k)
             labels = random_partition(rng, 8, k)
-            p = Partition.from_labels(labels, k, g.degrees)
+            p = Partition(labels, k)
             s2 = k_variance(reps.points, reps.weights, p)
             dist = subspace_distance_sq(dec, g, p, k)
             assert dist == pytest.approx(s2, abs=1e-8)
@@ -422,5 +423,5 @@ def test_subspace_distance_k1_is_zero():
     rng = np.random.default_rng(14)
     g = random_connected(rng, 6)
     dec = spectral_decomposition(g)
-    p = Partition.from_labels(np.zeros(6, dtype=int), 1, g.degrees)
+    p = Partition(np.zeros(6, dtype=int), 1)
     assert subspace_distance_sq(dec, g, p, 1) == pytest.approx(0.0, abs=1e-12)

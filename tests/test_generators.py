@@ -52,6 +52,26 @@ def test_classical_wrong_size_count_names_the_sizes():
         classical("complete_bipartite", 2)
 
 
+def test_sizes_are_integers_never_truncated(monkeypatch):
+    probs = np.full((2, 2), 0.5)
+    with pytest.raises(BadSize, match="integers"):
+        BlockModel((2.9, 3), probs)
+    with pytest.raises(BadSize, match="integers"):
+        classical("path", 3.7)
+    # numpy integers are integers
+    m = BlockModel((np.int64(2), np.int32(3)), probs)
+    assert m.sizes == (2, 3) and all(type(s) is int for s in m.sizes)
+    assert classical("path", np.int64(3)).n == 3
+
+    # a TypeError raised inside a family is the family's, not a size error
+    def family(n):
+        raise TypeError("inside the family")
+
+    monkeypatch.setitem(modspec.generators._CLASSICAL, "family", family)
+    with pytest.raises(TypeError, match="inside the family"):
+        classical("family", 3)
+
+
 def test_random_graph_determinism_and_range():
     model = BlockModel((10, 10), np.array([[0.6, 0.1], [0.1, 0.6]]))
     g1, b1 = generalized_random_graph(model, 42)

@@ -353,8 +353,8 @@ def test_regularity_certificate_noiseless_blocks():
     g = expected_block_graph(model).normalize_volume()
     dec = spectral_decomposition(g)
     labels = np.array([0] * 5 + [1] * 5)
-    p = Partition.from_labels(labels, 2, g.degrees)
-    rep = regularity_certificate(g, dec, p, 2)
+    p = Partition(labels, 2)
+    rep = regularity_certificate(g, dec, p)
     assert rep.k == 2
     assert len(rep.pairs) == 3
     assert rep.bound == pytest.approx(np.sqrt(4.0) * rep.s + rep.eps, abs=1e-12)
@@ -371,20 +371,18 @@ def test_regularity_certificate_method_selection():
     g = random_connected(rng, 30).normalize_volume()
     dec = spectral_decomposition(g)
     labels = np.array([0] * 15 + [1] * 15)
-    p = Partition.from_labels(labels, 2, g.degrees)
-    rep = regularity_certificate(g, dec, p, 2, samples=200, seed=1)
+    p = Partition(labels, 2)
+    rep = regularity_certificate(g, dec, p, samples=200, seed=1)
     assert all(q.method == "sampled" for q in rep.pairs)
-    skip = regularity_certificate(g, dec, p, 2, samples=0)
+    skip = regularity_certificate(g, dec, p, samples=0)
     assert all(q.method == "skipped" for q in skip.pairs)
     assert all(q.alpha is None and q.witness_x is None for q in skip.pairs)
     # seeded reruns agree exactly
-    rep2 = regularity_certificate(g, dec, p, 2, samples=200, seed=1)
+    rep2 = regularity_certificate(g, dec, p, samples=200, seed=1)
     assert [q.alpha for q in rep.pairs] == [q.alpha for q in rep2.pairs]
-    with pytest.raises(ValueError):
-        regularity_certificate(g, dec, p, 3)
-    empty = Partition.from_labels(np.zeros(30, dtype=int), 2, g.degrees)
+    empty = Partition(np.zeros(30, dtype=int), 2)
     with pytest.raises(ZeroVolume):
-        regularity_certificate(g, dec, empty, 2)
+        regularity_certificate(g, dec, empty)
 
 
 def test_regularity_intra_pair_budget_uses_doubled_size():
@@ -394,9 +392,9 @@ def test_regularity_intra_pair_budget_uses_doubled_size():
     rng = np.random.default_rng(38)
     g = random_connected(rng, 24).normalize_volume()
     labels = np.array([0] * 13 + [1] * 11)
-    p = Partition.from_labels(labels, 2, g.degrees)
+    p = Partition(labels, 2)
     dec = spectral_decomposition(g)
-    rep = regularity_certificate(g, dec, p, 2, samples=50, seed=0)
+    rep = regularity_certificate(g, dec, p, samples=50, seed=0)
     methods = {(q.a, q.b): q.method for q in rep.pairs}
     assert methods[(0, 0)] == "sampled"
     assert methods[(0, 1)] == "exact"

@@ -458,7 +458,7 @@ def test_two_ended_selection_on_a_near_bipartite_graph():
 
 def test_fewer_columns_than_k_minus_one_are_rejected():
     g = two_cliques_bridge(4)
-    part = Partition.from_labels(np.repeat([0, 1, 2], [3, 3, 2]), 3, g.degrees)
+    part = Partition(np.repeat([0, 1, 2], [3, 3, 2]), 3)
     short = spectral_decomposition(g, leading=1)
     with pytest.raises(ValueError):
         representatives(short, g, 3)
