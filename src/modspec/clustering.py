@@ -10,6 +10,7 @@ restarts one by one.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +27,9 @@ _BATCH_CELLS = 1 << 18
 
 @dataclass(frozen=True)
 class Partition:
-    """Cluster labels in {0..k-1}, one per vertex, as a 1-d integer array;
-    as in ``vertex_subset``, floats are refused, never truncated."""
+    """Cluster labels in {0..k-1}, one per vertex, as a 1-d integer array,
+    and an integer k; as in ``vertex_subset``, floats are refused, never
+    truncated."""
 
     labels: np.ndarray
     k: int
@@ -38,12 +40,17 @@ class Partition:
             raise ValueError(f"labels must be a 1-d integer array, got {labels.dtype} "
                              f"{labels.shape}")
         labels = labels.astype(np.intp)
-        if self.k < 1:
+        try:
+            k = operator.index(self.k)
+        except TypeError:
+            raise BadK(f"partition needs an integer k, got {self.k!r}") from None
+        if k < 1:
             raise BadK("partition needs k >= 1")
-        if labels.size and (labels.min() < 0 or labels.max() >= self.k):
+        if labels.size and (labels.min() < 0 or labels.max() >= k):
             raise ValueError("labels out of range")
         labels.setflags(write=False)
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "k", k)
 
     @property
     def n(self) -> int:

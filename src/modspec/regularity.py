@@ -6,8 +6,9 @@ since |w(X, Y) - rho vol X vol Y| = |x^T C y| for inclusion vectors x, y.
 Small pairs get that cut norm exactly from :func:`cut_norm_exact`, which
 enumerates one side only: the other side's optimum is the positive or the
 negative part of the sums.  Larger pairs score seeded random subset pairs on
-the same block and refine them by greedy single-element flips.  Enumerations
-are hard capped and break ties deterministically, so reruns agree bit for bit.
+the same block, a chunk of starts at a time, and refine them by greedy
+single-element flips.  Enumerations are hard capped and break ties
+deterministically, so reruns agree bit for bit.
 """
 from __future__ import annotations
 
@@ -23,6 +24,9 @@ from .sampling import derive_trial_seed
 
 ENUM_LIMIT = 24
 FLIP_CAP = 1000
+# sampled starts drawn and scored together, and rows of a pair's block
+# centered together, so their scratch stays small next to the block
+_CHUNK = 256
 
 
 def _row_subset_sums(a: np.ndarray) -> np.ndarray:
@@ -76,11 +80,11 @@ def _local_search(c, xbits, ybits) -> tuple[float, np.ndarray, np.ndarray]:
     With signs sx = 1 - 2x and sy = 1 - 2y, flipping row i adds sx_i (C y)_i
     to x^T C y and flipping column j adds sy_j (x^T C)_j.  These |A| + |B|
     gains live in one score vector g = [sx * C y, sy * x^T C], allocated once
-    and updated in place: a row flip adds its row of C to x^T C, negates its
-    own sign and score, and recomputes the column half; a column flip does
-    the mirror image.  The signs are +-1, so every score equals its
-    recomputation bit for bit.  Stops when no flip gains more than 1e-15 or
-    after FLIP_CAP flips.
+    and updated in place: a row flip adds its row of C to x^T C or subtracts
+    it (no sx_i * C_i temporary), negates its own sign and score, and
+    recomputes the column half; a column flip does the mirror image.  The
+    signs are +-1, so every score equals its recomputation bit for bit.
+    Stops when no flip gains more than 1e-15 or after FLIP_CAP flips.
     """
     m = c.shape[0]
     x = xbits.astype(float)
@@ -101,17 +105,51 @@ def _local_search(c, xbits, ybits) -> tuple[float, np.ndarray, np.ndarray]:
             break
         value += g[pos]
         if pos < m:
-            xc += sx[pos] * c[pos]
+            if sx[pos] > 0:
+                xc += c[pos]
+            else:
+                xc -= c[pos]
             sx[pos] = -sx[pos]
             gx[pos] = -gx[pos]
             np.multiply(sy, xc, out=gy)
         else:
             pos -= m
-            cy += sy[pos] * c[:, pos]
+            if sy[pos] > 0:
+                cy += c[:, pos]
+            else:
+                cy -= c[:, pos]
             sy[pos] = -sy[pos]
             gy[pos] = -gy[pos]
             np.multiply(sx, cy, out=gx)
     return float(abs(value)), sx < 0, sy < 0
+
+
+def _sampled_cut(c, samples: int, seed: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """Best local-search result over seeded random starts on the block c.
+
+    Start t is row t of one seeded ``rng.random((samples, m + n)) < 0.5``
+    stream, drawn and scored _CHUNK rows at a time; a start whose score
+    |x^T c y| is above every earlier start's is refined, in start order.
+    Returns the best refined value with its row and column indices.
+    """
+    m, n = c.shape
+    rng = np.random.Generator(np.random.PCG64(seed))
+    best = 0.0
+    best_x = np.zeros(m, dtype=bool)
+    best_y = np.zeros(n, dtype=bool)
+    top = -1.0
+    for lo in range(0, samples, _CHUNK):
+        bits = rng.random((min(_CHUNK, samples - lo), m + n)) < 0.5
+        bx, by = bits[:, :m], bits[:, m:]
+        discs = np.abs(((bx @ c) * by).sum(axis=1))
+        # the starts that score above every earlier start
+        for t in np.flatnonzero(discs > np.maximum.accumulate(np.r_[top, discs[:-1]])):
+            refined, rx, ry = _local_search(c, bx[t], by[t])
+            if refined > best:
+                best = refined
+                best_x, best_y = rx, ry
+        top = max(top, float(discs.max()))
+    return best, np.flatnonzero(best_x), np.flatnonzero(best_y)
 
 
 def volume_regularity_alpha(g: WeightedGraph, cluster_a, cluster_b, *,
@@ -122,9 +160,12 @@ def volume_regularity_alpha(g: WeightedGraph, cluster_a, cluster_b, *,
     The two clusters must be disjoint, or identical for the within-cluster
     variant; the normalizer is sqrt of the volume product between clusters
     and the single cluster volume within one.  Both modes maximize |x^T C y|
-    over the centered block C = W_AB - rho d_A d_B^T.  Exact mode takes its
-    cut norm with :func:`cut_norm_exact` (|A| + |B| <= 24); sampled mode
-    scans seeded random pairs and greedily refines each new running best.
+    over the centered block C = W_AB - rho d_A d_B^T, held as one dense
+    |A| x |B| array: the gathered block is densified once and centered in
+    place, _CHUNK rows at a time.  Exact mode takes its cut norm with
+    :func:`cut_norm_exact` (|A| + |B| <= 24); sampled mode scans seeded
+    random pairs in chunks of _CHUNK starts and greedily refines each new
+    running best, so its scratch is O(_CHUNK (|A| + |B|)) next to the block.
     Start t is row t of one seeded draw over A and B together, so for a
     fixed seed more samples only append starts and never lower the result.
     """
@@ -141,26 +182,17 @@ def volume_regularity_alpha(g: WeightedGraph, cluster_a, cluster_b, *,
         raise ZeroVolume("clusters must have positive volume")
     rho = g.weighted_cut(ai, bi) / (vol_a * vol_b)
     denom = vol_a if same else float(np.sqrt(vol_a * vol_b))
-    c = g._gather(ai, bi).toarray() - rho * np.outer(g.degrees[ai], g.degrees[bi])
+    c = g._gather(ai, bi).toarray()
+    da, db = g.degrees[ai], g.degrees[bi]
+    for lo in range(0, ai.size, _CHUNK):
+        c[lo:lo + _CHUNK] -= rho * np.outer(da[lo:lo + _CHUNK], db)
     if samples is None:
         best, rsel, csel = cut_norm_exact(c)
-        return best / denom, (ai[rsel], bi[csel])
-    if samples < 1 or seed is None:
+    elif samples < 1 or seed is None:
         raise ValueError("sampled mode needs samples >= 1 and a seed")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    bits = rng.random((samples, ai.size + bi.size)) < 0.5
-    bx, by = bits[:, :ai.size], bits[:, ai.size:]
-    discs = np.abs(((bx @ c) * by).sum(axis=1))
-    best = 0.0
-    best_x = np.zeros(ai.size, dtype=bool)
-    best_y = np.zeros(bi.size, dtype=bool)
-    # the starts that score above every earlier start
-    for t in np.flatnonzero(discs > np.maximum.accumulate(np.r_[-1.0, discs[:-1]])):
-        refined, rx, ry = _local_search(c, bx[t], by[t])
-        if refined > best:
-            best = refined
-            best_x, best_y = rx, ry
-    return best / denom, (ai[np.flatnonzero(best_x)], bi[np.flatnonzero(best_y)])
+    else:
+        best, rsel, csel = _sampled_cut(c, samples, seed)
+    return best / denom, (ai[rsel], bi[csel])
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,12 @@ def test_partition_validation_and_accessors():
     assert Partition([], 1).n == 0
     with pytest.raises(BadK):
         Partition([0], 0)
+    # k is an integer: a float is refused, numpy integers pass as ints
+    for bad in (2.0, 1.5, "2", None):
+        with pytest.raises(BadK, match="integer k"):
+            Partition(np.array([0, 1]), bad)
+    q = Partition(np.array([0, 1]), np.int64(2))
+    assert type(q.k) is int and q.sizes().tolist() == [1, 1]
     with pytest.raises(ValueError):
         Partition([0, 2], 2)
     # labels are a 1-d integer array: floats are not truncated, strings not

@@ -218,7 +218,9 @@ def test_alpha_sampled_bounded_by_exact_and_monotone():
     b = list(range(5, 10))
     exact, _ = volume_regularity_alpha(g, a, b)
     prev = -1.0
-    for samples in (10, 50, 200):
+    # below, at and above one chunk of starts, and several chunks
+    chunk = regularity._CHUNK
+    for samples in (10, 50, 200, chunk - 1, chunk, chunk + 1, 3 * chunk + 5):
         val, (wx, wy) = volume_regularity_alpha(g, a, b, samples=samples, seed=9)
         assert val <= exact + 1e-12
         # for one seed, more samples can only raise the refined best
@@ -232,7 +234,7 @@ def test_alpha_sampled_bounded_by_exact_and_monotone():
         planted = generalized_random_graph(model, seed)[0].normalize_volume()
         for x, y in ((pa, pb), (pa, pa)):
             prev = -1.0
-            for samples in (5, 20, 80, 320):
+            for samples in (5, 20, 80, chunk - 1, chunk, chunk + 1, 320, 3 * chunk + 5):
                 val, _ = volume_regularity_alpha(planted, x, y, samples=samples, seed=seed)
                 assert val >= prev - 1e-15
                 prev = val
@@ -311,6 +313,60 @@ def test_local_search_matches_its_reference_recipe(case):
     assert value.hex() == ref.hex()
     assert x.dtype == rx.dtype and x.tobytes() == rx.tobytes()
     assert y.dtype == ry.dtype and y.tobytes() == ry.tobytes()
+
+
+# The sampled scan that drew and scored every start at once, kept as written:
+# drawing and scoring in chunks must refine the same starts in the same
+# order.  On integer-valued blocks every start score is exact, so the value
+# and witness must agree byte for byte.
+def _recipe_sampled_cut(c, samples, seed):
+    m = c.shape[0]
+    rng = np.random.Generator(np.random.PCG64(seed))
+    bits = rng.random((samples, m + c.shape[1])) < 0.5
+    bx, by = bits[:, :m], bits[:, m:]
+    discs = np.abs(((bx @ c) * by).sum(axis=1))
+    best = 0.0
+    best_x = np.zeros(m, dtype=bool)
+    best_y = np.zeros(c.shape[1], dtype=bool)
+    for t in np.flatnonzero(discs > np.maximum.accumulate(np.r_[-1.0, discs[:-1]])):
+        refined, rx, ry = regularity._local_search(c, bx[t], by[t])
+        if refined > best:
+            best = refined
+            best_x, best_y = rx, ry
+    return best, np.flatnonzero(best_x), np.flatnonzero(best_y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 40), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([1, 3, 255, 256, 257, 700]), st.sampled_from([1, 7, regularity._CHUNK]))
+def test_chunked_starts_match_the_unchunked_scan(m, n, seed, samples, chunk):
+    # few distinct values, so many starts tie and the running best carried
+    # across chunk boundaries decides which of them are refined
+    c = np.random.default_rng(seed).integers(-3, 4, size=(m, n)).astype(float)
+    with mock.patch.object(regularity, "_CHUNK", chunk):
+        value, x, y = regularity._sampled_cut(c, samples, seed)
+    ref, rx, ry = _recipe_sampled_cut(c, samples, seed)
+    assert value.hex() == ref.hex()
+    assert x.tobytes() == rx.tobytes() and y.tobytes() == ry.tobytes()
+
+
+def test_sampled_pair_memory_is_the_block_plus_a_chunk():
+    # a 1000 x 1000 planted cross pair: its centered block is 8 MB, and the
+    # unchunked start table of 2000 starts over 2000 vertices alone was 32 MB
+    model = BlockModel((1000, 1000), np.array([[0.05, 0.01], [0.01, 0.05]]))
+    g = generalized_random_graph(model, 3)[0].normalize_volume()
+    a, b = np.arange(1000), np.arange(1000, 2000)
+    tracemalloc.start()
+    try:
+        alpha, _ = volume_regularity_alpha(g, a, b, samples=2000, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert alpha > 0
+    block = 8 * a.size * b.size
+    scratch = 8 * regularity._CHUNK * (a.size + b.size)
+    assert peak < block + 3 * scratch, (
+        f"peak {peak / block:.2f} blocks, {peak / scratch:.2f} chunk scratches")
 
 
 def test_alpha_sampled_at_a_flip_cap_of_one(monkeypatch):
